@@ -69,15 +69,13 @@ class _Layout:
         )
 
 
-_layouts: dict[int, _Layout] = {}
-
-
 def layout_for(ontology: Ontology) -> _Layout:
-    key = id(ontology)
-    found = _layouts.get(key)
+    """The ontology's index maps, built on first use and stored on the
+    ontology itself so they can neither outlive it nor be handed to
+    another one."""
+    found = ontology.derived.get("belief_layout")
     if found is None:
-        found = _Layout(ontology)
-        _layouts[key] = found
+        found = ontology.derived["belief_layout"] = _Layout(ontology)
     return found
 
 

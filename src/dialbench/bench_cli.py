@@ -23,7 +23,7 @@ from dialbench.harness import (
     run_cross_task,
     run_training,
 )
-from dialbench.policies import ALGORITHMS
+from dialbench.policies import ALGORITHMS, config_fields
 from dialbench.simulated_user import PROFILES
 
 EXIT_OK = 0
@@ -137,9 +137,17 @@ def _profile(config: dict):
     return PROFILES[name] if name else None
 
 
-def _policy_overrides(config: dict) -> dict:
+def _policy_overrides(config: dict, algos: list[str]) -> dict:
+    """[policy] hyperparameters; each must be a config field of every
+    chosen algorithm."""
     overrides = dict(config.get("policy", {}))
     overrides.pop("algorithm", None)
+    for algo in algos:
+        fields = config_fields(algo)
+        for key in overrides:
+            if key not in fields:
+                raise ConfigError(f"[policy] key {key!r} is not a setting of "
+                                  f"{algo}; choose from {sorted(fields)}")
     return overrides
 
 
@@ -177,7 +185,7 @@ def cmd_train(args, config) -> int:
     result = run_training(spec,
                           error_params=_error_params(config, task.env_index),
                           profile=_profile(config),
-                          policy_overrides=_policy_overrides(config))
+                          policy_overrides=_policy_overrides(config, algos))
     for point in spec.eval_points:
         sm, ss, rm, rs = result.mean_std(point)
         print(f"{spec.task_id} {spec.algorithm} @{point}: "
@@ -218,7 +226,7 @@ def cmd_benchmark(args, config) -> int:
                                   "test_dialogues", 500))
     out = Path(_setting(args, config, "harness", "out", "runs"))
     path = run_benchmark(algos, tasks, seeds, dialogues, test_dialogues, out,
-                         policy_overrides=_policy_overrides(config))
+                         policy_overrides=_policy_overrides(config, algos))
     print(f"results table: {path}")
     return EXIT_OK
 

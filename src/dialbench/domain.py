@@ -87,6 +87,10 @@ class Ontology:
     slot_by_name: dict[str, SlotDef] = field(init=False, repr=False)
     entity_by_id: dict[str, Entity] = field(init=False, repr=False)
     _value_index: dict[tuple[str, str], frozenset[str]] = field(init=False, repr=False)
+    # Lookups other modules derive from this ontology, kept here so they
+    # live and die with it (see belief_tracker.layout_for).
+    derived: dict[str, object] = field(init=False, repr=False, compare=False,
+                                       default_factory=dict)
 
     def __post_init__(self) -> None:
         self.slot_by_name = {s.name: s for s in self.slots}

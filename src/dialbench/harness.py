@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from dialbench.artifacts import write_text_atomic
 from dialbench.belief_tracker import belief_dim
 from dialbench.domain import DOMAIN_CODES, Ontology
 from dialbench.environment import DialogueEnv, make_task
@@ -208,7 +209,6 @@ def summary_json_path(spec: RunSpec) -> Path:
 def write_curve_csv(result: TrainResult) -> Path:
     spec = result.spec
     path = curve_csv_path(spec)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = ["dialogue_index"]
     for seed in spec.seeds:
         header += [f"success_seed{seed}", f"reward_seed{seed}"]
@@ -223,14 +223,12 @@ def write_curve_csv(result: TrainResult) -> Path:
         sm, ss, rm, rs = result.mean_std(point)
         row += [f"{sm:.4f}", f"{ss:.4f}", f"{rm:.4f}", f"{rs:.4f}"]
         lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_summary_json(result: TrainResult) -> Path:
     spec = result.spec
     path = summary_json_path(spec)
-    path.parent.mkdir(parents=True, exist_ok=True)
     points = []
     for point in spec.eval_points:
         sm, ss, rm, rs = result.mean_std(point)
@@ -254,8 +252,8 @@ def write_summary_json(result: TrainResult) -> Path:
         "test_dialogues": spec.test_dialogues,
         "points": points,
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_text_atomic(
+        path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _domain_of(task_id: str) -> str:
@@ -298,7 +296,6 @@ def write_benchmark_table(cells: dict[tuple[str, str], ResultRow],
                           algorithms: list[str], tasks: list[str],
                           out_dir: Path) -> Path:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "benchmark.csv"
     json_path = out_dir / "benchmark.json"
 
@@ -345,10 +342,10 @@ def write_benchmark_table(cells: dict[tuple[str, str], ResultRow],
         mean_over(groups[code], f"Mean-{code}")
     mean_over(list(tasks), "Mean-ALL")
 
-    csv_path.write_text("\n".join(lines) + "\n")
-    json_path.write_text(json.dumps({"algorithms": list(algorithms),
-                                     "rows": json_rows},
-                                    indent=2, sort_keys=True) + "\n")
+    write_text_atomic(csv_path, "\n".join(lines) + "\n")
+    write_text_atomic(json_path, json.dumps({"algorithms": list(algorithms),
+                                             "rows": json_rows},
+                                            indent=2, sort_keys=True) + "\n")
     return csv_path
 
 
@@ -414,9 +411,8 @@ def run_cross_task(out_dir: Path, algorithms: list[str], domains: list[str],
                 json_rows.append({"domain": domain, "algorithm": algorithm,
                                   "train_env": i, "rewards": rewards})
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "cross.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
-    (out_dir / "cross.json").write_text(
-        json.dumps({"rows": json_rows}, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(csv_path, "\n".join(lines) + "\n")
+    write_text_atomic(out_dir / "cross.json", json.dumps(
+        {"rows": json_rows}, indent=2, sort_keys=True) + "\n")
     return csv_path

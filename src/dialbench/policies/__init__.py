@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from pathlib import Path
+import dataclasses
 
 import numpy as np
 
@@ -13,6 +13,7 @@ from dialbench.policies.base import (
     Policy,
     Transition,
     load_checkpoint,
+    load_policy,
     masked_argmax,
     save_checkpoint,
     uniform_legal,
@@ -20,57 +21,47 @@ from dialbench.policies.base import (
 from dialbench.policies.dqn import DQNConfig, DQNPolicy, bellman_targets
 from dialbench.policies.enac import ENACConfig, ENACPolicy, enac_natural_gradient
 from dialbench.policies.gpsarsa import GPSarsaConfig, GPSarsaPolicy
-from dialbench.policies.handcrafted import HandcraftedPolicy
+from dialbench.policies.handcrafted import HandcraftedConfig, HandcraftedPolicy
 
 ALGORITHMS = ("handcrafted", "gpsarsa", "dqn", "a2c", "enac")
 
-_LEARNERS = {
-    "gpsarsa": GPSarsaPolicy,
-    "dqn": DQNPolicy,
-    "a2c": A2CPolicy,
-    "enac": ENACPolicy,
+CONFIGS = {
+    "handcrafted": HandcraftedConfig,
+    "gpsarsa": GPSarsaConfig,
+    "dqn": DQNConfig,
+    "a2c": A2CConfig,
+    "enac": ENACConfig,
 }
+
+
+def config_fields(algorithm: str) -> tuple[str, ...]:
+    """Names ``make_policy`` accepts as overrides for ``algorithm``."""
+    return tuple(f.name for f in dataclasses.fields(CONFIGS[algorithm]))
 
 
 def make_policy(algorithm: str, obs_dim: int, action_count: int,
                 ontology: Ontology | None = None,
                 init_rng: np.random.Generator | None = None,
                 **config_kwargs) -> Policy:
+    if algorithm not in CONFIGS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; "
+                         f"choose from {ALGORITHMS}")
+    config = CONFIGS[algorithm](**config_kwargs)
     if algorithm == "handcrafted":
         if ontology is None:
             raise ValueError("handcrafted policy needs the ontology")
-        return HandcraftedPolicy(ontology, **config_kwargs)
-    try:
-        cls = _LEARNERS[algorithm]
-    except KeyError:
-        raise ValueError(f"unknown algorithm {algorithm!r}; "
-                         f"choose from {ALGORITHMS}") from None
-    config_cls = {
-        "gpsarsa": GPSarsaConfig,
-        "dqn": DQNConfig,
-        "a2c": A2CConfig,
-        "enac": ENACConfig,
-    }[algorithm]
-    config = config_cls(**config_kwargs) if config_kwargs else None
+        return HandcraftedPolicy(ontology, config)
     if algorithm == "gpsarsa":
-        return cls(obs_dim, action_count, config)
-    return cls(obs_dim, action_count, config, init_rng=init_rng)
-
-
-def load_policy(path: str | Path, ontology: Ontology | None = None) -> Policy:
-    """Reopen any saved policy; the checkpoint names its algorithm."""
-    algorithm, _, _ = load_checkpoint(path)
-    if algorithm == "handcrafted":
-        if ontology is None:
-            raise ValueError("handcrafted checkpoints need the ontology")
-        return HandcraftedPolicy.load(path, ontology)
-    return _LEARNERS[algorithm].load(path)
+        return GPSarsaPolicy(obs_dim, action_count, config)
+    learner = {"dqn": DQNPolicy, "a2c": A2CPolicy, "enac": ENACPolicy}
+    return learner[algorithm](obs_dim, action_count, config, init_rng=init_rng)
 
 
 __all__ = [
     "ALGORITHMS",
     "A2CConfig",
     "A2CPolicy",
+    "CONFIGS",
     "DQNConfig",
     "DQNPolicy",
     "ENACConfig",
@@ -78,11 +69,13 @@ __all__ = [
     "EpsilonSchedule",
     "GPSarsaConfig",
     "GPSarsaPolicy",
+    "HandcraftedConfig",
     "HandcraftedPolicy",
     "Policy",
     "Transition",
     "a2c_loss",
     "bellman_targets",
+    "config_fields",
     "enac_natural_gradient",
     "load_checkpoint",
     "load_policy",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -19,9 +18,7 @@ from dialbench.policies.base import (
     EpsilonSchedule,
     Policy,
     Transition,
-    load_checkpoint,
     masked_argmax,
-    save_checkpoint,
     uniform_legal,
 )
 from dialbench.rl_core import (
@@ -197,31 +194,8 @@ class A2CPolicy(Policy):
         adam_step(self.adam, self.net.params(), grads)
         return loss
 
-    def save(self, path: str | Path) -> None:
-        meta = {
-            "obs_dim": self.obs_dim,
-            "action_count": self.action_count,
-            "hidden1": self.config.hidden1,
-            "hidden2": self.config.hidden2,
-            "lr": self.config.lr,
-            "gamma": self.config.gamma,
-        }
-        arrays = {f"p_{i}": p for i, p in enumerate(self.net.params())}
-        save_checkpoint(path, self.algorithm, meta, arrays)
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return self.net.named_params()
 
-    @classmethod
-    def load(cls, path: str | Path, config: A2CConfig | None = None) -> "A2CPolicy":
-        algorithm, meta, arrays = load_checkpoint(path)
-        if algorithm != cls.algorithm:
-            raise ValueError(f"checkpoint holds {algorithm!r}, not a2c")
-        if config is None:
-            config = A2CConfig(hidden1=int(meta["hidden1"]),
-                               hidden2=int(meta["hidden2"]),
-                               lr=float(meta["lr"]), gamma=float(meta["gamma"]))
-        policy = cls(int(meta["obs_dim"]), int(meta["action_count"]), config)
-        net = policy.net
-        net.w1, net.b1 = arrays["p_0"], arrays["p_1"]
-        net.w2, net.b2 = arrays["p_2"], arrays["p_3"]
-        net.w3, net.b3 = arrays["p_4"], arrays["p_5"]
-        policy.adam = adam_init(net.params(), lr=policy.config.lr)
-        return policy
+    def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        self.net = Net2(**arrays, head="linear")

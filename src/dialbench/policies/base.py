@@ -1,16 +1,27 @@
-"""Common policy interface, exploration schedule, checkpoint format."""
+"""Common policy interface, exploration schedule, checkpoint format.
+
+A checkpoint is one ``.npz`` file: a JSON header plus the policy's named
+arrays.  The header carries everything ``make_policy`` needs to rebuild
+the policy (algorithm, dimensions, the complete config, and the domain
+for policies bound to one); the arrays are handed to the rebuilt policy's
+``restore_arrays``.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from dialbench.artifacts import atomic_writer
 from dialbench.belief_tracker import BeliefState
+from dialbench.domain import Ontology
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -47,6 +58,8 @@ class Policy:
 
     algorithm = "base"
     trains = False
+    config = None                      # frozen config dataclass
+    ontology: Ontology | None = None   # set by policies bound to a domain
 
     def __init__(self, obs_dim: int, action_count: int):
         self.obs_dim = obs_dim
@@ -66,8 +79,33 @@ class Policy:
     def end_dialogue(self, rng: np.random.Generator) -> None:
         pass
 
+    # -- persistence: subclasses supply only their arrays -------------------
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Named arrays a checkpoint must keep beyond the config."""
+        return {}
+
+    def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Inverse of ``state_arrays`` on a freshly built policy."""
+
     def save(self, path: str | Path) -> None:
-        raise NotImplementedError
+        header = {
+            "obs_dim": self.obs_dim,
+            "action_count": self.action_count,
+            "config": dataclasses.asdict(self.config),
+            "domain": None if self.ontology is None else self.ontology.code,
+        }
+        save_checkpoint(path, self.algorithm, header, self.state_arrays())
+
+    @classmethod
+    def load(cls, path: str | Path,
+             ontology: Ontology | None = None) -> Policy:
+        """``load_policy``, refusing a checkpoint of another algorithm."""
+        policy = load_policy(path, ontology)
+        if policy.algorithm != cls.algorithm:
+            raise ValueError(f"checkpoint {path} holds {policy.algorithm!r}, "
+                             f"not {cls.algorithm}")
+        return policy
 
 
 def uniform_legal(mask: np.ndarray, rng: np.random.Generator) -> int:
@@ -88,22 +126,42 @@ def save_checkpoint(path: str | Path, algorithm: str, meta: dict,
         "algorithm": algorithm,
         **meta,
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, __header__=np.frombuffer(
-        json.dumps(header, sort_keys=True).encode(), dtype=np.uint8
-    ), **arrays)
+    with atomic_writer(path) as f:
+        np.savez(f, __header__=np.frombuffer(
+            json.dumps(header, sort_keys=True).encode(), dtype=np.uint8
+        ), **arrays)
 
 
 def load_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    with np.load(path, allow_pickle=False) as payload:
-        header = json.loads(bytes(payload["__header__"]).decode())
-        arrays = {k: payload[k] for k in payload.files if k != "__header__"}
+    try:
+        with np.load(path, allow_pickle=False) as payload:
+            header = json.loads(bytes(payload["__header__"]).decode())
+            arrays = {k: payload[k] for k in payload.files if k != "__header__"}
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"unreadable checkpoint {path}: {exc}") from exc
     version = header.pop("format_version", None)
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    algorithm = header.pop("algorithm")
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    algorithm = header.pop("algorithm", None)
     return algorithm, header, arrays
+
+
+def load_policy(path: str | Path, ontology: Ontology | None = None) -> Policy:
+    """Reopen any saved policy; the checkpoint names its algorithm."""
+    from dialbench.policies import make_policy  # the registry imports us
+
+    algorithm, header, arrays = load_checkpoint(path)
+    missing = {"obs_dim", "action_count", "config"} - header.keys()
+    if missing:
+        raise ValueError(f"checkpoint {path} lacks {sorted(missing)}")
+    domain = header.get("domain")
+    if domain and ontology is not None and domain != ontology.code:
+        raise ValueError(f"checkpoint was built for {domain}, "
+                         f"got ontology {ontology.code}")
+    policy = make_policy(algorithm, header["obs_dim"], header["action_count"],
+                         ontology=ontology, **header["config"])
+    policy.restore_arrays(arrays)
+    return policy

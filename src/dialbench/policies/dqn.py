@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -12,13 +11,10 @@ from dialbench.policies.base import (
     EpsilonSchedule,
     Policy,
     Transition,
-    load_checkpoint,
     masked_argmax,
-    save_checkpoint,
     uniform_legal,
 )
 from dialbench.rl_core import (
-    AdamState,
     Net2,
     adam_init,
     adam_step,
@@ -130,34 +126,10 @@ class DQNPolicy(Policy):
         if self._dialogues % self.config.target_sync_dialogues == 0:
             self.target_net = self.q_net.copy()
 
-    def save(self, path: str | Path) -> None:
-        meta = {
-            "obs_dim": self.obs_dim,
-            "action_count": self.action_count,
-            "hidden1": self.config.hidden1,
-            "hidden2": self.config.hidden2,
-            "lr": self.config.lr,
-            "gamma": self.config.gamma,
-        }
-        arrays = {
-            f"q_{i}": p for i, p in enumerate(self.q_net.params())
-        }
-        save_checkpoint(path, self.algorithm, meta, arrays)
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return self.q_net.named_params()
 
-    @classmethod
-    def load(cls, path: str | Path, config: DQNConfig | None = None) -> "DQNPolicy":
-        algorithm, meta, arrays = load_checkpoint(path)
-        if algorithm != cls.algorithm:
-            raise ValueError(f"checkpoint holds {algorithm!r}, not dqn")
-        if config is None:
-            config = DQNConfig(hidden1=int(meta["hidden1"]),
-                               hidden2=int(meta["hidden2"]),
-                               lr=float(meta["lr"]), gamma=float(meta["gamma"]))
-        policy = cls(int(meta["obs_dim"]), int(meta["action_count"]), config)
-        net = policy.q_net
-        net.w1, net.b1 = arrays["q_0"], arrays["q_1"]
-        net.w2, net.b2 = arrays["q_2"], arrays["q_3"]
-        net.w3, net.b3 = arrays["q_4"], arrays["q_5"]
-        policy.target_net = net.copy()
-        policy.adam = adam_init(net.params(), lr=policy.config.lr)
-        return policy
+    def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        # the target net restarts in sync with the Q-net; Adam starts fresh
+        self.q_net = Net2(**arrays, head="linear")
+        self.target_net = self.q_net.copy()

@@ -9,7 +9,6 @@ as a normalized step on the softmax policy parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -18,9 +17,7 @@ from dialbench.policies.base import (
     EpsilonSchedule,
     Policy,
     Transition,
-    load_checkpoint,
     masked_argmax,
-    save_checkpoint,
     uniform_legal,
 )
 from dialbench.rl_core import (
@@ -141,31 +138,8 @@ class ENACPolicy(Policy):
             p += step[offset:offset + p.size].reshape(p.shape)
             offset += p.size
 
-    def save(self, path: str | Path) -> None:
-        meta = {
-            "obs_dim": self.obs_dim,
-            "action_count": self.action_count,
-            "hidden1": self.config.hidden1,
-            "hidden2": self.config.hidden2,
-            "step_size": self.config.step_size,
-            "gamma": self.config.gamma,
-        }
-        arrays = {f"p_{i}": p for i, p in enumerate(self.net.params())}
-        save_checkpoint(path, self.algorithm, meta, arrays)
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return self.net.named_params()
 
-    @classmethod
-    def load(cls, path: str | Path, config: ENACConfig | None = None) -> "ENACPolicy":
-        algorithm, meta, arrays = load_checkpoint(path)
-        if algorithm != cls.algorithm:
-            raise ValueError(f"checkpoint holds {algorithm!r}, not enac")
-        if config is None:
-            config = ENACConfig(hidden1=int(meta["hidden1"]),
-                                hidden2=int(meta["hidden2"]),
-                                step_size=float(meta["step_size"]),
-                                gamma=float(meta["gamma"]))
-        policy = cls(int(meta["obs_dim"]), int(meta["action_count"]), config)
-        net = policy.net
-        net.w1, net.b1 = arrays["p_0"], arrays["p_1"]
-        net.w2, net.b2 = arrays["p_2"], arrays["p_3"]
-        net.w3, net.b3 = arrays["p_4"], arrays["p_5"]
-        return policy
+    def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        self.net = Net2(**arrays, head="softmax")

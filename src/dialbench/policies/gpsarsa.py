@@ -22,7 +22,6 @@ diagonal of K^-1) is merged into its nearest neighbour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -30,9 +29,7 @@ from dialbench.belief_tracker import BeliefState
 from dialbench.policies.base import (
     Policy,
     Transition,
-    load_checkpoint,
     masked_argmax,
-    save_checkpoint,
     uniform_legal,
 )
 
@@ -262,36 +259,17 @@ class GPSarsaPolicy(Policy):
 
     # -- persistence ---------------------------------------------------------
 
-    def save(self, path: str | Path) -> None:
-        meta = {
-            "obs_dim": self.obs_dim,
-            "action_count": self.action_count,
-            "sigma2": self.config.sigma2,
-            "scale": self.config.scale,
-            "nu": self.config.nu,
-            "max_points": self.config.max_points,
-            "gamma": self.config.gamma,
-        }
+    def state_arrays(self) -> dict[str, np.ndarray]:
         arrays = {}
         for a, block in enumerate(self.blocks):
             arrays[f"x_{a}"] = block.x
             arrays[f"ysum_{a}"] = block.ysum
             arrays[f"counts_{a}"] = block.counts
-        save_checkpoint(path, self.algorithm, meta, arrays)
+        return arrays
 
-    @classmethod
-    def load(cls, path: str | Path) -> "GPSarsaPolicy":
-        algorithm, meta, arrays = load_checkpoint(path)
-        if algorithm != cls.algorithm:
-            raise ValueError(f"checkpoint holds {algorithm!r}, not gpsarsa")
-        config = GPSarsaConfig(
-            sigma2=meta["sigma2"], scale=meta["scale"], nu=meta["nu"],
-            max_points=int(meta["max_points"]), gamma=meta["gamma"],
-        )
-        policy = cls(int(meta["obs_dim"]), int(meta["action_count"]), config)
-        for a, block in enumerate(policy.blocks):
+    def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        for a, block in enumerate(self.blocks):
             block.x = arrays[f"x_{a}"]
             block.ysum = arrays[f"ysum_{a}"]
             block.counts = arrays[f"counts_{a}"]
             block._refresh()
-        return policy

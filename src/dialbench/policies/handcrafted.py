@@ -15,7 +15,7 @@ with reqmore as the final fallback (always legal).
 
 from __future__ import annotations
 
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,21 +27,27 @@ from dialbench.action_space import (
 )
 from dialbench.belief_tracker import BeliefState, method_top, top_nonnone, NONE_IDX
 from dialbench.domain import Ontology, query
-from dialbench.policies.base import Policy, load_checkpoint, save_checkpoint
+from dialbench.policies.base import Policy
 
 CONFIRM_LOW = 0.3
 CONFIRM_HIGH = 0.8
+
+
+@dataclass(frozen=True)
+class HandcraftedConfig:
+    entity_threshold: int = 1     # request more while more entities match
 
 
 class HandcraftedPolicy(Policy):
     algorithm = "handcrafted"
     trains = False
 
-    def __init__(self, ontology: Ontology, entity_threshold: int = 1):
+    def __init__(self, ontology: Ontology,
+                 config: HandcraftedConfig | None = None):
         actions = build_action_set(ontology)
         super().__init__(obs_dim=0, action_count=len(actions))
         self.ontology = ontology
-        self.entity_threshold = entity_threshold
+        self.config = config if config is not None else HandcraftedConfig()
         self._index = {a.label(): a.index for a in actions}
 
     def _idx(self, kind: str, slot: str | None = None) -> int:
@@ -84,7 +90,7 @@ class HandcraftedPolicy(Policy):
                 unknown.append((prob, slot.name))
         if unknown:
             matches = query(ontology, _top_constraints(belief, ontology))
-            if len(matches) > self.entity_threshold:
+            if len(matches) > self.config.entity_threshold:
                 _, slot_name = min(unknown, key=lambda pair: pair[0])
                 yield self._idx("request", slot_name)
 
@@ -94,25 +100,3 @@ class HandcraftedPolicy(Policy):
             yield self._idx("bye")
 
         yield self._idx("reqmore")
-
-    def save(self, path: str | Path) -> None:
-        save_checkpoint(
-            path,
-            self.algorithm,
-            {
-                "domain": self.ontology.code,
-                "entity_threshold": self.entity_threshold,
-                "action_count": self.action_count,
-            },
-            {},
-        )
-
-    @classmethod
-    def load(cls, path: str | Path, ontology: Ontology) -> "HandcraftedPolicy":
-        algorithm, meta, _ = load_checkpoint(path)
-        if algorithm != cls.algorithm:
-            raise ValueError(f"checkpoint holds {algorithm!r}, not handcrafted")
-        if meta["domain"] != ontology.code:
-            raise ValueError(f"checkpoint was built for {meta['domain']}, "
-                             f"got ontology {ontology.code}")
-        return cls(ontology, entity_threshold=int(meta["entity_threshold"]))

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dialbench import accel
-
 
 @dataclass
 class Net2:
@@ -27,6 +25,10 @@ class Net2:
 
     def params(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
+
+    def named_params(self) -> dict[str, np.ndarray]:
+        """Parameters by field name; ``Net2(**named, head=...)`` rebuilds."""
+        return dict(zip(("w1", "b1", "w2", "b2", "w3", "b3"), self.params()))
 
     def copy(self) -> "Net2":
         return Net2(*(p.copy() for p in self.params()), head=self.head)
@@ -92,8 +94,9 @@ def forward_cache(net: Net2, x: np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     xb = np.ascontiguousarray(np.atleast_2d(x))
-    h1, h2, z = accel.net2_forward(net.w1, net.b1, net.w2, net.b2, net.w3,
-                                   net.b3, xb)
+    h1 = np.maximum(xb @ net.w1 + net.b1, 0.0)
+    h2 = np.maximum(h1 @ net.w2 + net.b2, 0.0)
+    z = h2 @ net.w3 + net.b3
     if net.head == "softmax":
         out = masked_softmax(z, mask)
     else:
@@ -102,6 +105,20 @@ def forward_cache(net: Net2, x: np.ndarray,
         out = out[0]
     return ForwardCache(x=xb, h1=h1, h2=h2, z=z, out=out, mask=mask,
                         squeeze=squeeze)
+
+
+def _net2_backward(w2, w3, x, h1, h2, g_out) -> list[np.ndarray]:
+    """Gradients of the two rectifier layers and the linear head, given
+    dL/d(pre-head output)."""
+    g_w3 = h2.T @ g_out
+    g_b3 = g_out.sum(axis=0)
+    g_h2 = np.where(h2 > 0.0, g_out @ w3.T, 0.0)
+    g_w2 = h1.T @ g_h2
+    g_b2 = g_h2.sum(axis=0)
+    g_h1 = np.where(h1 > 0.0, g_h2 @ w2.T, 0.0)
+    g_w1 = x.T @ g_h1
+    g_b1 = g_h1.sum(axis=0)
+    return [g_w1, g_b1, g_w2, g_b2, g_w3, g_b3]
 
 
 def backward(net: Net2, cache: ForwardCache,
@@ -120,8 +137,7 @@ def backward(net: Net2, cache: ForwardCache,
     else:
         g_z = g
     g_z = np.ascontiguousarray(g_z)
-    grads = accel.net2_backward(net.w2, net.w3, cache.x, cache.h1, cache.h2, g_z)
-    return list(grads)
+    return _net2_backward(net.w2, net.w3, cache.x, cache.h1, cache.h2, g_z)
 
 
 def grad_log_prob(net: Net2, cache: ForwardCache, action: int) -> list[np.ndarray]:
@@ -134,8 +150,7 @@ def grad_log_prob(net: Net2, cache: ForwardCache, action: int) -> list[np.ndarra
     if cache.mask is not None:
         g_z[0, ~np.atleast_2d(cache.mask)[0].astype(bool)] = 0.0
     g_z = np.ascontiguousarray(g_z)
-    return list(accel.net2_backward(net.w2, net.w3, cache.x, cache.h1,
-                                    cache.h2, g_z))
+    return _net2_backward(net.w2, net.w3, cache.x, cache.h1, cache.h2, g_z)
 
 
 @dataclass
@@ -161,12 +176,17 @@ def adam_step(state: AdamState, params: list[np.ndarray],
               grads: list[np.ndarray]) -> None:
     """One Adam update, in place."""
     state.t += 1
+    lr, beta1, beta2, eps, t = (state.lr, state.beta1, state.beta2,
+                                state.eps, state.t)
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        accel.adam_update(
-            p.reshape(-1), np.ascontiguousarray(g, dtype=np.float64).reshape(-1),
-            m.reshape(-1), v.reshape(-1),
-            state.lr, state.beta1, state.beta2, state.eps, state.t,
-        )
+        g = np.asarray(g, dtype=np.float64)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -263,3 +266,21 @@ def test_slot_top_and_top_nonnone(ontology):
     assert top_name == "none" and top_prob == pytest.approx(0.6)
     nn_name, nn_prob = top_nonnone(belief, slot.name, ontology)
     assert nn_name == value and nn_prob == pytest.approx(0.4)
+
+
+def test_layout_dies_with_its_ontology():
+    ontology = generate_domain("CR")
+    layout = weakref.ref(layout_for(ontology))
+    assert layout_for(ontology) is layout()
+    del ontology
+    gc.collect()
+    assert layout() is None
+
+
+def test_each_ontology_gets_its_own_layout():
+    cr, lap = generate_domain("CR"), generate_domain("LAP")
+    assert layout_for(cr) is not layout_for(lap)
+    assert belief_dim(cr) != belief_dim(lap)
+    assert layout_for(lap).constraint_names == [
+        s.name for s in lap.constraint_slots]
+

@@ -6,6 +6,7 @@ import pytest
 
 from dialbench.bench_cli import main
 from dialbench.environment import list_tasks
+from dialbench.policies import load_policy
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +185,39 @@ def test_config_profile_and_errormodel_applied(capsys, tmp_path):
         return (out / "curves" / "env1-CR-handcrafted.csv").read_text()
 
     assert run(False) != run(True)
+
+
+def test_policy_overrides_survive_reload(capsys, tmp_path):
+    ini = tmp_path / "dqn.ini"
+    ini.write_text("[policy]\neps0 = 0.2\nhidden1 = 16\nhidden2 = 8\n")
+    code, _, _ = run_cli(capsys, "train", "--task", "env1-CR", "--algo", "dqn",
+                         "--seeds", "0", "--dialogues", "2", "--eval-at", "2",
+                         "--test-dialogues", "2", "--config", str(ini),
+                         "--out", str(tmp_path))
+    assert code == 0
+    policy = load_policy(tmp_path / "checkpoints/env1-CR/dqn/seed0-d2.npz")
+    assert policy.config.eps0 == 0.2
+    assert policy.config.hidden1 == 16
+
+
+def test_unknown_policy_key_exits_2(capsys, tmp_path):
+    ini = tmp_path / "typo.ini"
+    ini.write_text("[policy]\nepsilon0 = 0.2\n")
+    code, _, err = run_cli(capsys, "train", "--task", "env1-CR",
+                           "--algo", "dqn", "--seeds", "0",
+                           "--dialogues", "2", "--eval-at", "2",
+                           "--config", str(ini), "--out", str(tmp_path))
+    assert code == 2
+    assert "config error" in err and "'epsilon0'" in err
+    assert not (tmp_path / "checkpoints").exists()
+    # a key of one learner is refused when another algorithm is chosen
+    ini.write_text("[policy]\nhidden1 = 16\n")
+    code, _, err = run_cli(capsys, "benchmark", "--task", "env1-CR",
+                           "--algo", "dqn,handcrafted", "--seeds", "0",
+                           "--dialogues", "2", "--config", str(ini),
+                           "--out", str(tmp_path))
+    assert code == 2
+    assert "not a setting of handcrafted" in err
 
 
 # ------------------------------------------------------------- benchmark

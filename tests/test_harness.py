@@ -25,7 +25,12 @@ from dialbench.harness import (
     summary_json_path,
     write_benchmark_table,
 )
-from dialbench.policies import GPSarsaConfig, GPSarsaPolicy, HandcraftedPolicy
+from dialbench.policies import (
+    GPSarsaConfig,
+    GPSarsaPolicy,
+    HandcraftedPolicy,
+    load_policy,
+)
 from dialbench.seeding import TRAIN_STREAM, seed_stream
 
 CR = generate_domain("CR")
@@ -141,6 +146,33 @@ def test_latest_checkpoint_picks_highest_point(tmp_path):
 def test_latest_checkpoint_missing_raises(tmp_path):
     with pytest.raises(MissingArtifact):
         latest_checkpoint(tmp_path, "env1-CR", "dqn", 0)
+
+
+def test_failed_write_leaves_previous_milestone_latest(tmp_path, monkeypatch):
+    policy = GPSarsaPolicy(obs_dim=3, action_count=2)
+    policy.save(checkpoint_path(tmp_path, "env1-CR", "gpsarsa", 0, 100))
+
+    def half_written(file, **arrays):
+        file.write(b"PK\x03\x04 partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", half_written)
+    with pytest.raises(OSError, match="disk full"):
+        policy.save(checkpoint_path(tmp_path, "env1-CR", "gpsarsa", 0, 200))
+    monkeypatch.undo()
+    folder = tmp_path / "checkpoints/env1-CR/gpsarsa"
+    assert [p.name for p in folder.iterdir()] == ["seed0-d100.npz"]
+    best = latest_checkpoint(tmp_path, "env1-CR", "gpsarsa", 0)
+    assert best.name == "seed0-d100.npz"
+    assert load_policy(best).total_points == 0
+
+
+def test_truncated_checkpoint_is_reported_by_path(tmp_path):
+    path = checkpoint_path(tmp_path, "env1-CR", "gpsarsa", 0, 100)
+    GPSarsaPolicy(obs_dim=3, action_count=2).save(path)
+    path.write_bytes(path.read_bytes()[:40])
+    with pytest.raises(ValueError, match="seed0-d100.npz"):
+        load_policy(path)
 
 
 # ------------------------------------------------------------- training runs

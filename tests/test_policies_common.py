@@ -1,6 +1,7 @@
 """Shared policy machinery: exploration schedule, registry, and a corridor
 MDP every learner must solve."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from dialbench.domain import generate_domain
 from dialbench.policies import (
     ALGORITHMS,
+    CONFIGS,
     A2CConfig,
     A2CPolicy,
     DQNConfig,
@@ -25,6 +27,7 @@ from dialbench.policies import (
     masked_argmax,
     uniform_legal,
 )
+from dialbench.policies import base
 
 
 # ------------------------------------------------------------- schedule
@@ -138,6 +141,40 @@ def test_load_policy_handcrafted_round_trip(tmp_path):
         load_policy(path)  # needs the ontology
     restored = load_policy(path, ontology=ont)
     assert isinstance(restored, HandcraftedPolicy)
+    with pytest.raises(ValueError, match="built for CR"):
+        load_policy(path, ontology=generate_domain("SFR"))
+
+
+def _off_default(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return value * 0.5 + 0.001
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_config_field_survives_a_checkpoint(tmp_path, algorithm):
+    defaults = CONFIGS[algorithm]()
+    changed = {f.name: _off_default(getattr(defaults, f.name))
+               for f in dataclasses.fields(defaults)}
+    ont = generate_domain("CR")
+    policy = make_policy(algorithm, 3, 2, ontology=ont, **changed)
+    assert dataclasses.asdict(policy.config) == changed
+    path = tmp_path / f"{algorithm}.npz"
+    policy.save(path)
+    restored = load_policy(path, ontology=ont)
+    assert restored.config == policy.config
+    assert type(restored.config) is type(policy.config)
+
+
+def test_older_checkpoint_versions_are_refused(tmp_path, monkeypatch):
+    path = tmp_path / "v1.npz"
+    monkeypatch.setattr(base, "CHECKPOINT_VERSION", 1)
+    make_policy("dqn", 3, 2, hidden1=4, hidden2=4).save(path)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+        load_policy(path)
 
 
 # ------------------------------------------------------------- corridor MDP

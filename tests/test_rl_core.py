@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from dialbench import accel
 from dialbench.rl_core import (
     KernelSpec,
     Net2,
@@ -299,49 +298,3 @@ def test_gram_empty():
 def test_kernel_spec_rejects_other_kernels():
     with pytest.raises(ValueError):
         KernelSpec(state_kernel="rbf")
-
-
-# ---------------------------------------------------------------- accel
-
-
-@pytest.mark.skipif(not accel.HAS_NUMBA, reason="numba not installed")
-def test_numba_forward_matches_numpy():
-    rng = np.random.default_rng(14)
-    w1, b1 = rng.normal(size=(6, 5)), rng.normal(size=5)
-    w2, b2 = rng.normal(size=(5, 4)), rng.normal(size=4)
-    w3, b3 = rng.normal(size=(4, 3)), rng.normal(size=3)
-    x = np.ascontiguousarray(rng.normal(size=(7, 6)))
-    ref = accel.net2_forward_np(w1, b1, w2, b2, w3, b3, x)
-    out = accel.net2_forward_nb(w1, b1, w2, b2, w3, b3, x)
-    for r, o in zip(ref, out):
-        assert np.allclose(r, o, atol=1e-12)
-
-
-@pytest.mark.skipif(not accel.HAS_NUMBA, reason="numba not installed")
-def test_numba_backward_matches_numpy():
-    rng = np.random.default_rng(15)
-    w1, b1 = rng.normal(size=(6, 5)), rng.normal(size=5)
-    w2, b2 = rng.normal(size=(5, 4)), rng.normal(size=4)
-    w3, b3 = rng.normal(size=(4, 3)), rng.normal(size=3)
-    x = np.ascontiguousarray(rng.normal(size=(7, 6)))
-    h1, h2, _ = accel.net2_forward_np(w1, b1, w2, b2, w3, b3, x)
-    g_out = np.ascontiguousarray(rng.normal(size=(7, 3)))
-    ref = accel.net2_backward_np(w2, w3, x, h1, h2, g_out)
-    out = accel.net2_backward_nb(w2, w3, x, h1, h2, g_out)
-    for r, o in zip(ref, out):
-        assert np.allclose(r, o, atol=1e-12)
-
-
-@pytest.mark.skipif(not accel.HAS_NUMBA, reason="numba not installed")
-def test_numba_adam_matches_numpy():
-    rng = np.random.default_rng(16)
-    p_np, p_nb = rng.normal(size=20), None
-    g = rng.normal(size=20)
-    m_np, v_np = np.zeros(20), np.zeros(20)
-    p_nb, m_nb, v_nb = p_np.copy(), m_np.copy(), v_np.copy()
-    for t in (1, 2, 3):
-        accel.adam_update_np(p_np, g, m_np, v_np, 0.01, 0.9, 0.999, 1e-8, t)
-        accel.adam_update_nb(p_nb, g, m_nb, v_nb, 0.01, 0.9, 0.999, 1e-8, t)
-    assert np.allclose(p_np, p_nb, atol=1e-14)
-    assert np.allclose(m_np, m_nb, atol=1e-14)
-    assert np.allclose(v_np, v_nb, atol=1e-14)
