@@ -2,7 +2,7 @@
 
 Verbs: train, eval, benchmark, cross, list-tasks.  Settings come from
 flags first, then an optional INI config, then defaults.  Exit codes:
-0 success, 2 configuration problem, 3 missing artifact.
+0 success, 2 configuration problem, 3 missing or unreadable artifact.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dialbench.harness import (
     run_cross_task,
     run_training,
 )
-from dialbench.policies import ALGORITHMS, config_fields
+from dialbench.policies import ALGORITHMS, CheckpointError, config_fields
 from dialbench.simulated_user import PROFILES
 
 EXIT_OK = 0
@@ -243,6 +243,8 @@ def cmd_cross(args, config) -> int:
     out = Path(_setting(args, config, "harness", "out", "runs"))
     try:
         path = run_cross_task(out, algos, domains, seeds, test_dialogues)
+    except CheckpointError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     print(f"cross matrix: {path}")
@@ -265,6 +267,9 @@ def main(argv: list[str] | None = None) -> int:
             "cross": cmd_cross,
         }[args.verb]
         return handler(args, config)
+    except CheckpointError as exc:
+        print(f"unreadable artifact: {exc}", file=sys.stderr)
+        return EXIT_MISSING
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -87,6 +87,10 @@ class Ontology:
     slot_by_name: dict[str, SlotDef] = field(init=False, repr=False)
     entity_by_id: dict[str, Entity] = field(init=False, repr=False)
     _value_index: dict[tuple[str, str], frozenset[str]] = field(init=False, repr=False)
+    constraint_slots: tuple[SlotDef, ...] = field(init=False, repr=False)
+    requestable_slots: tuple[SlotDef, ...] = field(init=False, repr=False)
+    n_constraint: int = field(init=False, repr=False)
+    n_requestable: int = field(init=False, repr=False)
     # Lookups other modules derive from this ontology, kept here so they
     # live and die with it (see belief_tracker.layout_for).
     derived: dict[str, object] = field(init=False, repr=False, compare=False,
@@ -118,22 +122,11 @@ class Ontology:
                     key = (slot.name, ent.attributes[slot.name])
                     index.setdefault(key, set()).add(ent.id)
         self._value_index = {k: frozenset(v) for k, v in index.items()}
-
-    @property
-    def constraint_slots(self) -> tuple[SlotDef, ...]:
-        return tuple(s for s in self.slots if s.is_constraint)
-
-    @property
-    def requestable_slots(self) -> tuple[SlotDef, ...]:
-        return tuple(s for s in self.slots if s.is_requestable)
-
-    @property
-    def n_constraint(self) -> int:
-        return len(self.constraint_slots)
-
-    @property
-    def n_requestable(self) -> int:
-        return len(self.requestable_slots)
+        self.constraint_slots = tuple(s for s in self.slots if s.is_constraint)
+        self.requestable_slots = tuple(s for s in self.slots
+                                       if s.is_requestable)
+        self.n_constraint = len(self.constraint_slots)
+        self.n_requestable = len(self.requestable_slots)
 
     @property
     def total_requestable_values(self) -> int:

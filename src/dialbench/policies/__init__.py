@@ -9,6 +9,7 @@ import numpy as np
 from dialbench.domain import Ontology
 from dialbench.policies.a2c import A2CConfig, A2CPolicy, a2c_loss
 from dialbench.policies.base import (
+    CheckpointError,
     EpsilonSchedule,
     Policy,
     Transition,
@@ -62,6 +63,7 @@ __all__ = [
     "A2CConfig",
     "A2CPolicy",
     "CONFIGS",
+    "CheckpointError",
     "DQNConfig",
     "DQNPolicy",
     "ENACConfig",

@@ -69,7 +69,8 @@ def returns_to_go(rewards: np.ndarray, gamma: float) -> np.ndarray:
 def a2c_loss(net: Net2, obs: np.ndarray, actions: np.ndarray,
              masks: np.ndarray, returns: np.ndarray, advantages: np.ndarray,
              weights: np.ndarray, entropy_beta: float):
-    """Surrogate loss and its parameter gradients.
+    """Surrogate loss and its parameter gradient, one flat vector like
+    ``backward``'s.
 
     advantages and weights enter as constants, so the returned gradients
     are exact derivatives of the returned scalar; finite differences
@@ -110,7 +111,7 @@ class A2CPolicy(Policy):
         rng = init_rng if init_rng is not None else np.random.default_rng(0)
         self.net = init_net(obs_dim, self.config.hidden1, self.config.hidden2,
                             action_count + 1, "linear", rng)
-        self.adam = adam_init(self.net.params(), lr=self.config.lr)
+        self.adam = adam_init(self.net.theta, lr=self.config.lr)
         self.schedule = EpsilonSchedule(self.config.eps0, self.config.eps_final,
                                         self.config.anneal_dialogues)
         self.epsilon = self.config.eps0
@@ -191,11 +192,11 @@ class A2CPolicy(Policy):
 
         loss, grads = a2c_loss(self.net, obs, actions, masks, rets,
                                advantages, weights, self.config.entropy_beta)
-        adam_step(self.adam, self.net.params(), grads)
+        adam_step(self.adam, self.net.theta, grads)
         return loss
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return self.net.named_params()
 
     def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.net = Net2(**arrays, head="linear")
+        self.net = Net2.from_arrays(arrays, "linear")

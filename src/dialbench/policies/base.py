@@ -18,10 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from dialbench.artifacts import atomic_writer
-from dialbench.belief_tracker import BeliefState
+from dialbench.belief_tracker import BeliefState, belief_dim
 from dialbench.domain import Ontology
 
 CHECKPOINT_VERSION = 2
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be read back: damaged, of another
+    format version, or missing header fields."""
 
 
 @dataclass(frozen=True)
@@ -141,10 +146,11 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
             header = json.loads(bytes(payload["__header__"]).decode())
             arrays = {k: payload[k] for k in payload.files if k != "__header__"}
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"unreadable checkpoint {path}: {exc}") from exc
+        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     version = header.pop("format_version", None)
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint version {version}")
     algorithm = header.pop("algorithm", None)
     return algorithm, header, arrays
 
@@ -156,11 +162,19 @@ def load_policy(path: str | Path, ontology: Ontology | None = None) -> Policy:
     algorithm, header, arrays = load_checkpoint(path)
     missing = {"obs_dim", "action_count", "config"} - header.keys()
     if missing:
-        raise ValueError(f"checkpoint {path} lacks {sorted(missing)}")
+        raise CheckpointError(f"checkpoint {path} lacks {sorted(missing)}")
     domain = header.get("domain")
-    if domain and ontology is not None and domain != ontology.code:
-        raise ValueError(f"checkpoint was built for {domain}, "
-                         f"got ontology {ontology.code}")
+    if ontology is not None:
+        # a domain-bound policy names its domain; a learner is checked
+        # by the width of the belief vector it reads
+        if domain and domain != ontology.code:
+            raise ValueError(f"checkpoint was built for {domain}, "
+                             f"got ontology {ontology.code}")
+        if not domain and header["obs_dim"] != belief_dim(ontology):
+            raise ValueError(
+                f"checkpoint {path} reads beliefs of width "
+                f"{header['obs_dim']}, but the {ontology.code} ontology's "
+                f"belief has width {belief_dim(ontology)}")
     policy = make_policy(algorithm, header["obs_dim"], header["action_count"],
                          ontology=ontology, **header["config"])
     policy.restore_arrays(arrays)

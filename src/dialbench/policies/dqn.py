@@ -63,7 +63,7 @@ class DQNPolicy(Policy):
         self.q_net = init_net(obs_dim, self.config.hidden1, self.config.hidden2,
                               action_count, "linear", rng)
         self.target_net = self.q_net.copy()
-        self.adam = adam_init(self.q_net.params(), lr=self.config.lr)
+        self.adam = adam_init(self.q_net.theta, lr=self.config.lr)
         self.schedule = EpsilonSchedule(self.config.eps0, self.config.eps_final,
                                         self.config.anneal_dialogues)
         self.epsilon = self.config.eps0
@@ -116,7 +116,7 @@ class DQNPolicy(Policy):
         g_out = np.zeros_like(cache.out)
         g_out[np.arange(len(batch)), actions] = 2.0 * err / len(batch)
         grads = backward(self.q_net, cache, g_out)
-        adam_step(self.adam, self.q_net.params(), grads)
+        adam_step(self.adam, self.q_net.theta, grads)
         return float(np.mean(err**2))
 
     def end_dialogue(self, rng: np.random.Generator) -> None:
@@ -131,5 +131,5 @@ class DQNPolicy(Policy):
 
     def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         # the target net restarts in sync with the Q-net; Adam starts fresh
-        self.q_net = Net2(**arrays, head="linear")
+        self.q_net = Net2.from_arrays(arrays, "linear")
         self.target_net = self.q_net.copy()

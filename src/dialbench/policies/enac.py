@@ -86,7 +86,7 @@ class ENACPolicy(Policy):
 
     @property
     def param_count(self) -> int:
-        return sum(p.size for p in self.net.params())
+        return self.net.theta.size
 
     def begin_dialogue(self, dialogue_index: int, training: bool) -> None:
         self.epsilon = self.schedule.at(dialogue_index)
@@ -107,8 +107,7 @@ class ENACPolicy(Policy):
             action = int(rng.choice(self.action_count, p=p / p.sum()))
         # the uniform branch is treated as on-policy when accumulating
         # scores; the bias this introduces shrinks with epsilon
-        grads = grad_log_prob(self.net, cache, action)
-        self._phi += np.concatenate([g.ravel() for g in grads])
+        self._phi += grad_log_prob(self.net, cache, action)
         return action
 
     def observe(self, transition: Transition, rng: np.random.Generator) -> None:
@@ -132,14 +131,10 @@ class ENACPolicy(Policy):
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return
-        step = self.config.step_size * w / norm
-        offset = 0
-        for p in self.net.params():
-            p += step[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
+        self.net.theta += self.config.step_size * w / norm
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return self.net.named_params()
 
     def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.net = Net2(**arrays, head="softmax")
+        self.net = Net2.from_arrays(arrays, "softmax")

@@ -80,7 +80,7 @@ def test_a2c_loss_matches_finite_differences():
     _, grads = a2c_loss(net, obs, actions, masks, returns, advantages,
                         weights, entropy_beta=0.01)
     h = 1e-6
-    for p, g in zip(net.params(), grads):
+    for p, g in zip(net.params(), net.split(grads)):
         flat, gf = p.reshape(-1), np.asarray(g).reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
@@ -120,7 +120,7 @@ def test_a2c_loss_zero_advantage_zero_beta_is_value_regression():
     td = forward(net, obs)[:, -1] - returns
     assert loss == pytest.approx(np.mean(weights * 0.5 * td**2), abs=1e-12)
     # policy logits get no gradient: their w3 columns stay untouched
-    g_w3 = grads[4]
+    g_w3 = net.split(grads)[4]
     assert np.allclose(g_w3[:, :-1], 0.0, atol=1e-15)
     assert not np.allclose(g_w3[:, -1], 0.0)
 
@@ -147,8 +147,9 @@ def test_a2c_loss_fully_masked_action_has_zero_logit_grad():
     actions = np.where(actions == 2, 0, actions)
     _, grads = a2c_loss(net, obs, actions, masks, returns, advantages,
                         weights, entropy_beta=0.01)
-    assert np.allclose(grads[4][:, 2], 0.0, atol=1e-15)
-    assert grads[5][2] == pytest.approx(0.0, abs=1e-15)
+    _, _, _, _, g_w3, g_b3 = net.split(grads)
+    assert np.allclose(g_w3[:, 2], 0.0, atol=1e-15)
+    assert g_b3[2] == pytest.approx(0.0, abs=1e-15)
 
 
 # ------------------------------------------------------------- acting

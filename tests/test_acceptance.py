@@ -186,7 +186,7 @@ def test_08_gradient_checks():
     def linear_loss():
         return float(forward_cache(net, x).out @ c)
 
-    analytic = backward(net, forward_cache(net, x), c)
+    analytic = net.split(backward(net, forward_cache(net, x), c))
     for a, n in zip(analytic, fd_grads(linear_loss, net.params())):
         assert np.allclose(a, n, rtol=1e-4, atol=1e-6)
 
@@ -197,14 +197,14 @@ def test_08_gradient_checks():
     def softmax_loss():
         return float(forward_cache(net, x, mask).out @ c)
 
-    analytic = backward(net, forward_cache(net, x, mask), c)
+    analytic = net.split(backward(net, forward_cache(net, x, mask), c))
     for a, n in zip(analytic, fd_grads(softmax_loss, net.params())):
         assert np.allclose(a, n, rtol=1e-4, atol=1e-6)
 
     def logp_loss():
         return float(np.log(forward_cache(net, x, mask).out[1]))
 
-    analytic = grad_log_prob(net, forward_cache(net, x, mask), 1)
+    analytic = net.split(grad_log_prob(net, forward_cache(net, x, mask), 1))
     for a, n in zip(analytic, fd_grads(logp_loss, net.params())):
         assert np.allclose(a, n, rtol=1e-4, atol=1e-6)
 

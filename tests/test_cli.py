@@ -70,6 +70,21 @@ def test_cross_without_checkpoints_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_truncated_checkpoint_exits_3(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, "train", "--task", "env1-CR",
+                         "--algo", "handcrafted", "--seeds", "0",
+                         "--dialogues", "2", "--eval-at", "2",
+                         "--test-dialogues", "2", "--out", str(tmp_path))
+    assert code == 0
+    path = tmp_path / "checkpoints/env1-CR/handcrafted/seed0-d2.npz"
+    path.write_bytes(path.read_bytes()[:40])
+    code, _, err = run_cli(capsys, "eval", "--task", "env1-CR",
+                           "--algo", "handcrafted", "--seeds", "0",
+                           "--test-dialogues", "2", "--out", str(tmp_path))
+    assert code == 3
+    assert str(path) in err
+
+
 def test_missing_config_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "train", "--task", "env1-CR",
                            "--algo", "handcrafted",

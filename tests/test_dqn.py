@@ -1,8 +1,15 @@
 """Q-learner: Bellman targets, replay buffer, target sync, learning."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dialbench
 from dialbench.policies.base import Transition, save_checkpoint
 from dialbench.policies.dqn import DQNConfig, DQNPolicy, bellman_targets
 from dialbench.rl_core import forward
@@ -258,3 +265,53 @@ def test_load_rejects_foreign_checkpoint(tmp_path):
     save_checkpoint(path, "gpsarsa", {"obs_dim": 2}, {"w": np.zeros(2)})
     with pytest.raises(ValueError):
         DQNPolicy.load(path)
+
+
+# ------------------------------------------------------------- pinned bytes
+
+# SHA-256 of the checkpoint that 40 training dialogues of DQN on env3-SFR,
+# run seed 0, leave behind (198 train steps of the 230-300-100-23 net).
+# Recorded with numpy 2.4 and its bundled OpenBLAS 0.3.31 on an x86-64 Xeon.
+PINNED_DQN_CHECKPOINT = (
+    "2d38a8f96f73044c3458826322c8941933d8611c08d161027b27b3e6823ac391")
+
+PINNED_RUN = """
+import sys
+from pathlib import Path
+from dialbench.harness import RunSpec, run_training
+from dialbench.policies import DQNPolicy
+
+steps = []
+train_step = DQNPolicy.train_step
+
+
+def counted(self, rng):
+    steps.append(1)
+    return train_step(self, rng)
+
+
+DQNPolicy.train_step = counted
+run_training(RunSpec("env3-SFR", "dqn", seeds=(0,), train_dialogues=40,
+                     eval_points=(40,), test_dialogues=2,
+                     out_dir=Path(sys.argv[1])))
+print(len(steps))
+"""
+
+
+def test_dqn_checkpoint_bytes_are_pinned(tmp_path):
+    """Any change to the floating-point operations of DQN training (the
+    net, backprop, Adam, the replay draws) changes these bytes.
+
+    The run gets its own process with one BLAS thread: a threaded BLAS
+    splits its sums by the thread count, which would tie the bytes to the
+    machine's core count.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=str(Path(dialbench.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", PINNED_RUN, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert int(done.stdout.split()[-1]) == 198
+    path = tmp_path / "checkpoints" / "env3-SFR" / "dqn" / "seed0-d40.npz"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DQN_CHECKPOINT

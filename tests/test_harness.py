@@ -175,6 +175,21 @@ def test_truncated_checkpoint_is_reported_by_path(tmp_path):
         load_policy(path)
 
 
+def test_learner_checkpoint_refuses_another_domain(tmp_path):
+    spec = RunSpec("env1-CR", "dqn", seeds=(0,), train_dialogues=2,
+                   eval_points=(2,), test_dialogues=1, out_dir=tmp_path)
+    run_training(spec, ontology=CR, policy_overrides={"hidden1": 8,
+                                                      "hidden2": 4})
+    path = checkpoint_path(tmp_path, "env1-CR", "dqn", 0, 2)
+    sfr = generate_domain("SFR")
+    with pytest.raises(ValueError) as refused:
+        load_policy(path, ontology=sfr)
+    message = str(refused.value)
+    assert str(path) in message
+    assert str(belief_dim(CR)) in message and str(belief_dim(sfr)) in message
+    assert load_policy(path, ontology=CR).obs_dim == belief_dim(CR)
+
+
 # ------------------------------------------------------------- training runs
 
 

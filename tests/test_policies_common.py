@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from dialbench.belief_tracker import belief_dim
 from dialbench.domain import generate_domain
 from dialbench.policies import (
     ALGORITHMS,
@@ -159,7 +160,8 @@ def test_every_config_field_survives_a_checkpoint(tmp_path, algorithm):
     changed = {f.name: _off_default(getattr(defaults, f.name))
                for f in dataclasses.fields(defaults)}
     ont = generate_domain("CR")
-    policy = make_policy(algorithm, 3, 2, ontology=ont, **changed)
+    policy = make_policy(algorithm, belief_dim(ont), 2, ontology=ont,
+                         **changed)
     assert dataclasses.asdict(policy.config) == changed
     path = tmp_path / f"{algorithm}.npz"
     policy.save(path)

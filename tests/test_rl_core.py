@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dialbench.policies import DQNConfig, DQNPolicy
 from dialbench.rl_core import (
     KernelSpec,
     Net2,
@@ -73,7 +74,8 @@ def test_backward_linear_head_matches_fd():
 
     assert_fd_safe(net, x)
     cache = forward_cache(net, x)
-    assert_grads_close(backward(net, cache, c), fd_grads(loss, net.params()))
+    assert_grads_close(net.split(backward(net, cache, c)),
+                       fd_grads(loss, net.params()))
 
 
 def test_backward_softmax_head_matches_fd():
@@ -88,7 +90,8 @@ def test_backward_softmax_head_matches_fd():
 
     assert_fd_safe(net, x)
     cache = forward_cache(net, x, mask)
-    assert_grads_close(backward(net, cache, c), fd_grads(loss, net.params()))
+    assert_grads_close(net.split(backward(net, cache, c)),
+                       fd_grads(loss, net.params()))
 
 
 def test_backward_batched_matches_fd():
@@ -102,7 +105,8 @@ def test_backward_batched_matches_fd():
 
     assert_fd_safe(net, x)
     cache = forward_cache(net, x)
-    assert_grads_close(backward(net, cache, c), fd_grads(loss, net.params()))
+    assert_grads_close(net.split(backward(net, cache, c)),
+                       fd_grads(loss, net.params()))
 
 
 def test_grad_log_prob_matches_fd():
@@ -117,7 +121,7 @@ def test_grad_log_prob_matches_fd():
 
     assert_fd_safe(net, x)
     cache = forward_cache(net, x, mask)
-    assert_grads_close(grad_log_prob(net, cache, action),
+    assert_grads_close(net.split(grad_log_prob(net, cache, action)),
                        fd_grads(loss, net.params()))
 
 
@@ -126,7 +130,7 @@ def test_masked_logits_get_zero_gradient():
     x = np.random.default_rng(5).normal(size=6)
     mask = np.array([True, True, False, True])
     cache = forward_cache(net, x, mask)
-    grads = grad_log_prob(net, cache, 0)
+    grads = net.split(grad_log_prob(net, cache, 0))
     g_w3, g_b3 = grads[4], grads[5]
     assert np.all(g_w3[:, 2] == 0.0)
     assert g_b3[2] == 0.0
@@ -194,37 +198,70 @@ def test_adam_first_step_closed_form():
     lr = 0.01
     p = np.array([1.0, -2.0, 3.0, 0.5])
     g = np.array([0.5, -0.25, 0.0, 4.0])
-    params = [p.copy()]
-    state = adam_init(params, lr=lr)
-    adam_step(state, params, [g])
+    theta = p.copy()
+    state = adam_init(theta, lr=lr)
+    adam_step(state, theta, g)
     # bias corrections cancel at t=1: step is lr * g / (|g| + eps)
     expected = p - lr * g / (np.abs(g) + state.eps)
-    assert np.allclose(params[0], expected, atol=1e-12)
+    assert np.allclose(theta, expected, atol=1e-12)
     assert state.t == 1
 
 
 def test_adam_zero_grad_is_identity():
-    params = [np.array([[1.0, 2.0], [3.0, 4.0]])]
-    state = adam_init(params)
-    adam_step(state, params, [np.zeros((2, 2))])
-    assert np.allclose(params[0], [[1.0, 2.0], [3.0, 4.0]])
+    theta = np.array([[1.0, 2.0], [3.0, 4.0]])
+    state = adam_init(theta)
+    adam_step(state, theta, np.zeros((2, 2)))
+    assert np.allclose(theta, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_adam_descends_quadratic():
     rng = np.random.default_rng(8)
-    params = [rng.normal(size=10)]
-    state = adam_init(params, lr=0.05)
-    start = float(np.sum(params[0] ** 2))
+    theta = rng.normal(size=10)
+    state = adam_init(theta, lr=0.05)
+    start = float(np.sum(theta ** 2))
     for _ in range(400):
-        adam_step(state, params, [2.0 * params[0]])
-    assert float(np.sum(params[0] ** 2)) < 1e-3 * start
+        adam_step(state, theta, 2.0 * theta)
+    assert float(np.sum(theta ** 2)) < 1e-3 * start
 
 
 def test_adam_state_shapes_follow_params():
-    params = [np.zeros((3, 2)), np.zeros(5)]
-    state = adam_init(params)
-    assert [m.shape for m in state.m] == [(3, 2), (5,)]
-    assert [v.shape for v in state.v] == [(3, 2), (5,)]
+    net = init_net(4, 3, 2, 2, "linear", np.random.default_rng(0))
+    state = adam_init(net.theta)
+    assert state.m.shape == state.v.shape == (4 * 3 + 3 + 3 * 2 + 2 + 2 * 2 + 2,)
+
+
+def _per_array_adam_step(state, params, grads):
+    """Adam as it was written per parameter array, before the flat store."""
+    state["t"] += 1
+    lr, beta1, beta2, eps, t = 0.001, 0.9, 0.999, 1e-8, state["t"]
+    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+        g = np.asarray(g, dtype=np.float64)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_adam_matches_per_array_reference():
+    rng = np.random.default_rng(14)
+    net = init_net(230, 300, 100, 23, "linear", rng)
+    ref_params = [p.copy() for p in net.params()]
+    ref = {"t": 0, "m": [np.zeros_like(p) for p in ref_params],
+           "v": [np.zeros_like(p) for p in ref_params]}
+    state = adam_init(net.theta)
+    for _ in range(50):
+        grad = rng.normal(size=net.theta.size) * rng.choice([1e-3, 1.0, 30.0])
+        adam_step(state, net.theta, grad)
+        _per_array_adam_step(ref, ref_params, net.split(grad))
+    assert state.t == ref["t"] == 50
+    for got, want in zip(net.params(), ref_params):
+        assert np.array_equal(got, want)
+    for got, want in zip(net.split(state.m) + net.split(state.v),
+                         ref["m"] + ref["v"]):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------- net setup
@@ -251,6 +288,31 @@ def test_init_net_deterministic():
     b = init_net(5, 4, 3, 2, "linear", np.random.default_rng(11))
     for pa, pb in zip(a.params(), b.params()):
         assert np.array_equal(pa, pb)
+
+
+def test_net_params_share_one_vector():
+    net = small_net("linear")
+    assert net.theta.size == sum(p.size for p in net.params())
+    for p in net.params():
+        assert p.base is net.theta and p.flags.c_contiguous
+    assert np.array_equal(net.theta,
+                          np.concatenate([p.ravel() for p in net.params()]))
+
+    clone = net.copy()
+    assert clone.theta is not net.theta
+    clone.theta += 1.0
+    assert np.array_equal(clone.w1, net.w1 + 1.0)
+    assert not np.shares_memory(clone.theta, net.theta)
+
+    arrays = {name: p.copy() for name, p in net.named_params().items()}
+    policy = DQNPolicy(6, 4, DQNConfig(hidden1=5, hidden2=4))
+    policy.restore_arrays(arrays)
+    packed = policy.q_net
+    assert np.array_equal(packed.theta, net.theta)
+    for name, p in packed.named_params().items():
+        assert p.base is packed.theta
+        assert not np.shares_memory(p, arrays[name])
+    assert Net2.from_arrays(arrays, "linear").dims == net.dims
 
 
 def test_net_copy_is_independent():
