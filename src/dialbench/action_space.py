@@ -78,12 +78,10 @@ def compute_mask(belief: BeliefState, ontology: Ontology,
     if not masks_enabled:
         return legal
 
-    legal[0] = method_top(belief) == "byconstraints"
+    method = method_top(belief)
+    legal[0] = method == "byconstraints"
     legal[1] = bool(np.any(belief.requested > REQUESTED_THRESHOLD))
-    legal[2] = (
-        method_top(belief) == "byalternatives"
-        or belief.entity_offered > OFFERED_THRESHOLD
-    )
+    legal[2] = method == "byalternatives" or belief.entity_offered > OFFERED_THRESHOLD
     # indices 3 (bye) and 4 (reqmore) always stay legal
 
     base = len(SLOT_INDEPENDENT)

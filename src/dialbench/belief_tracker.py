@@ -14,8 +14,6 @@ user has asked for, and two discourse flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from dialbench.domain import DONTCARE, Ontology
@@ -33,21 +31,39 @@ _SYSTEM_INFORM_ACTS = frozenset(
 )
 
 
-@dataclass(frozen=True)
 class BeliefState:
-    """Snapshot of the tracked state; arrays are never mutated in place."""
+    """Snapshot of the tracked state; never mutated.
 
-    slot_beliefs: dict[str, np.ndarray]
-    method: np.ndarray
-    requested: np.ndarray          # aligned with ontology.requestable_slots
-    entity_offered: float
-    offered_entity_id: str | None
-    last_user_act_null: bool
-    last_system_act: DialogueAct
+    The numbers live in one read-only float64 ``vector`` in ``flatten``
+    order.  ``slot_beliefs``, ``method`` and ``requested`` are views into
+    it, and the two discourse flags are its last two entries.
+    """
+
+    __slots__ = ("vector", "slot_beliefs", "method", "requested",
+                 "offered_entity_id", "last_system_act")
+
+    def __init__(self, vector: np.ndarray, layout: _Layout,
+                 offered_entity_id: str | None, last_system_act: DialogueAct):
+        vector.flags.writeable = False
+        self.vector = vector
+        self.slot_beliefs = {name: vector[sl]
+                             for name, sl in layout.slot_slices.items()}
+        self.method = vector[layout.method_slice]
+        self.requested = vector[layout.requested_slice]  # requestable_slots order
+        self.offered_entity_id = offered_entity_id
+        self.last_system_act = last_system_act
+
+    @property
+    def entity_offered(self) -> float:
+        return float(self.vector[-2])
+
+    @property
+    def last_user_act_null(self) -> bool:
+        return bool(self.vector[-1])
 
 
 class _Layout:
-    """Per-ontology index maps shared by update and flatten."""
+    """Per-ontology index maps and slices of the belief vector."""
 
     def __init__(self, ontology: Ontology):
         self.constraint_names = [s.name for s in ontology.constraint_slots]
@@ -61,12 +77,31 @@ class _Layout:
         self.requestable_index = {
             s.name: i for i, s in enumerate(ontology.requestable_slots)
         }
-        self.dim = (
-            sum(self.slot_dims.values())
-            + len(METHOD_VALUES)
-            + len(self.requestable_index)
-            + 2
-        )
+        self.slot_slices = {}
+        start = 0
+        for name, width in self.slot_dims.items():
+            self.slot_slices[name] = slice(start, start + width)
+            start += width
+        self.method_slice = slice(start, start + len(METHOD_VALUES))
+        start = self.method_slice.stop
+        self.requested_slice = slice(start, start + len(self.requestable_index))
+        self.dim = self.requested_slice.stop + 2
+        # All slots on none, method none, nothing requested or offered.
+        initial = np.zeros(self.dim)
+        for sl in self.slot_slices.values():
+            initial[sl.start + NONE_IDX] = 1.0
+        initial[self.method_slice.start] = 1.0
+        initial.flags.writeable = False
+        self.initial = initial
+
+    def evidence_index(self, slot: str, value: str) -> int | None:
+        """Position of a constraint slot's value (or dontcare) in the
+        vector; None for any other slot or value."""
+        sl = self.slot_slices.get(slot)
+        if sl is None:
+            return None
+        idx = DONTCARE_IDX if value == DONTCARE else self.value_index[slot].get(value)
+        return None if idx is None else sl.start + idx
 
 
 def layout_for(ontology: Ontology) -> _Layout:
@@ -86,22 +121,7 @@ def belief_dim(ontology: Ontology) -> int:
 def init_belief(ontology: Ontology) -> BeliefState:
     """All slots on none, method none, nothing requested."""
     lay = layout_for(ontology)
-    slot_beliefs = {}
-    for name, dim in lay.slot_dims.items():
-        dist = np.zeros(dim)
-        dist[NONE_IDX] = 1.0
-        slot_beliefs[name] = dist
-    method = np.zeros(len(METHOD_VALUES))
-    method[0] = 1.0
-    return BeliefState(
-        slot_beliefs=slot_beliefs,
-        method=method,
-        requested=np.zeros(len(lay.requestable_index)),
-        entity_offered=0.0,
-        offered_entity_id=None,
-        last_user_act_null=False,
-        last_system_act=DialogueAct("hello"),
-    )
+    return BeliefState(lay.initial, lay, None, DialogueAct("hello"))
 
 
 def _focus(prior: np.ndarray, evidence: np.ndarray) -> np.ndarray:
@@ -118,16 +138,17 @@ def update(belief: BeliefState, nbest: NBestList, system_act: DialogueAct,
            ontology: Ontology) -> BeliefState:
     """Fold one turn of observations into a new belief state."""
     lay = layout_for(ontology)
+    vec = belief.vector.copy()
+    requested = vec[lay.requested_slice]
+    method0 = lay.method_slice.start
 
     # System-side effects are deterministic: an offer flips the discourse
     # flag, and informing a requestable slot clears the standing request.
-    entity_offered = belief.entity_offered
     offered_id = belief.offered_entity_id
-    requested = belief.requested.copy()
     if system_act.act_type in _SYSTEM_INFORM_ACTS:
         name = system_act.name_value()
         if name is not None and name != "none":
-            entity_offered = 1.0
+            vec[-2] = 1.0
             offered_id = name
         for slot, value in system_act.items:
             if value is None or slot == "name":
@@ -136,11 +157,9 @@ def update(belief: BeliefState, nbest: NBestList, system_act: DialogueAct,
             if r_idx is not None:
                 requested[r_idx] = 0.0
 
-    slot_evidence = {
-        name: np.zeros(dim) for name, dim in lay.slot_dims.items()
-    }
-    method_evidence = np.zeros(len(METHOD_VALUES))
-    request_evidence = np.zeros(len(requested))
+    # Evidence in the vector's layout; the flag entries stay unused.
+    evidence = np.zeros(lay.dim)
+    request_evidence = evidence[lay.requested_slice]
 
     confirm_item = None
     if system_act.act_type == "confirm" and system_act.items:
@@ -152,57 +171,44 @@ def update(belief: BeliefState, nbest: NBestList, system_act: DialogueAct,
             named = act.name_value()
             has_slot_items = False
             for slot, value in act.items:
-                if slot == "name" or value is None:
-                    continue
-                idx_map = lay.value_index.get(slot)
-                if idx_map is None:
+                if slot == "name" or value is None or slot not in lay.slot_slices:
                     continue
                 has_slot_items = True
-                if value == DONTCARE:
-                    slot_evidence[slot][DONTCARE_IDX] += conf
-                elif value in idx_map:
-                    slot_evidence[slot][idx_map[value]] += conf
+                idx = lay.evidence_index(slot, value)
+                if idx is not None:
+                    evidence[idx] += conf
             if named is not None and named != "none":
-                method_evidence[METHOD_VALUES.index("byname")] += conf
+                evidence[method0 + METHOD_VALUES.index("byname")] += conf
             elif has_slot_items:
-                method_evidence[METHOD_VALUES.index("byconstraints")] += conf
+                evidence[method0 + METHOD_VALUES.index("byconstraints")] += conf
         elif act.act_type == "request":
             for slot, _ in act.items:
                 r_idx = lay.requestable_index.get(slot)
                 if r_idx is not None:
                     request_evidence[r_idx] += conf
         elif act.act_type == "affirm" and confirm_item is not None:
-            slot, value = confirm_item
-            idx_map = lay.value_index.get(slot)
-            if idx_map is not None:
-                if value == DONTCARE:
-                    slot_evidence[slot][DONTCARE_IDX] += conf
-                elif value in idx_map:
-                    slot_evidence[slot][idx_map[value]] += conf
+            idx = lay.evidence_index(*confirm_item)
+            if idx is not None:
+                evidence[idx] += conf
         elif act.act_type == "negate" and confirm_item is not None:
-            slot = confirm_item[0]
-            if slot in slot_evidence:
-                slot_evidence[slot][NONE_IDX] += conf
+            sl = lay.slot_slices.get(confirm_item[0])
+            if sl is not None:
+                evidence[sl.start + NONE_IDX] += conf
         elif act.act_type == "deny":
             # A denial retracts the value without telling us the right one.
             for slot, _value in act.items:
-                if slot in slot_evidence:
-                    slot_evidence[slot][NONE_IDX] += conf
+                sl = lay.slot_slices.get(slot)
+                if sl is not None:
+                    evidence[sl.start + NONE_IDX] += conf
         elif act.act_type == "reqalts":
-            method_evidence[METHOD_VALUES.index("byalternatives")] += conf
+            evidence[method0 + METHOD_VALUES.index("byalternatives")] += conf
         elif act.act_type == "bye":
-            method_evidence[METHOD_VALUES.index("finished")] += conf
+            evidence[method0 + METHOD_VALUES.index("finished")] += conf
 
-    new_slots = {}
-    for name, prior in belief.slot_beliefs.items():
-        ev = slot_evidence[name]
-        new_slots[name] = _focus(prior, ev) if ev.any() else prior.copy()
-
-    method = (
-        _focus(belief.method, method_evidence)
-        if method_evidence.any()
-        else belief.method.copy()
-    )
+    for sl in (*lay.slot_slices.values(), lay.method_slice):
+        ev = evidence[sl]
+        if ev.any():
+            vec[sl] = _focus(vec[sl], ev)
 
     for r_idx, conf in enumerate(request_evidence):
         if conf > 0.0:
@@ -210,17 +216,8 @@ def update(belief: BeliefState, nbest: NBestList, system_act: DialogueAct,
             requested[r_idx] = c + (1.0 - c) * requested[r_idx]
 
     top = nbest.top
-    last_null = top is None or top.act.act_type == "null"
-
-    return BeliefState(
-        slot_beliefs=new_slots,
-        method=method,
-        requested=requested,
-        entity_offered=entity_offered,
-        offered_entity_id=offered_id,
-        last_user_act_null=last_null,
-        last_system_act=system_act,
-    )
+    vec[-1] = top is None or top.act.act_type == "null"
+    return BeliefState(vec, lay, offered_id, system_act)
 
 
 def slot_top(belief: BeliefState, slot: str, ontology: Ontology) -> tuple[str, float]:
@@ -254,18 +251,10 @@ def method_top(belief: BeliefState) -> str:
 
 
 def flatten(belief: BeliefState, ontology: Ontology) -> np.ndarray:
-    """Deterministic concatenation of the belief into a fixed-size vector.
+    """The belief as one fixed-size, read-only vector.
 
     Order: constraint slot distributions in ontology order, then method,
     requested probabilities, and the two discourse flags.
     """
-    lay = layout_for(ontology)
-    parts = [belief.slot_beliefs[name] for name in lay.constraint_names]
-    parts.append(belief.method)
-    parts.append(belief.requested)
-    parts.append(
-        np.array([belief.entity_offered, 1.0 if belief.last_user_act_null else 0.0])
-    )
-    vec = np.concatenate(parts)
-    assert vec.shape == (lay.dim,)
-    return vec
+    assert belief.vector.shape == (layout_for(ontology).dim,)
+    return belief.vector

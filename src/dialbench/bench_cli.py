@@ -3,6 +3,8 @@
 Verbs: train, eval, benchmark, cross, list-tasks.  Settings come from
 flags first, then an optional INI config, then defaults.  Exit codes:
 0 success, 2 configuration problem, 3 missing or unreadable artifact.
+User input is validated where it is read; any other exception is an
+internal fault and propagates with its traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import sys
 from pathlib import Path
 
 from dialbench.config import ConfigError, load_config, parse_int_list
-from dialbench.environment import list_tasks, make_task
+from dialbench.domain import DOMAIN_CODES
+from dialbench.environment import TaskConfig, list_tasks, make_task
 from dialbench.error_channel import PRESETS, params_with, preset_for_env
 from dialbench.harness import (
     MissingArtifact,
@@ -84,6 +87,13 @@ def _split(text: str) -> list[str]:
     return [part.strip() for part in str(text).split(",") if part.strip()]
 
 
+def _task_config(task_id: str) -> TaskConfig:
+    try:
+        return make_task(task_id)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _resolve_tasks(raw: str | None) -> list[str]:
     if raw is None:
         raise ConfigError("missing --task (or [task] name in the config)")
@@ -91,7 +101,7 @@ def _resolve_tasks(raw: str | None) -> list[str]:
         return list_tasks()
     tasks = _split(raw)
     for task_id in tasks:
-        make_task(task_id)            # validates the id
+        _task_config(task_id)
     return tasks
 
 
@@ -111,13 +121,23 @@ def _resolve_algos(raw: str | None) -> list[str]:
 def _resolve_seeds(args, config) -> tuple[int, ...]:
     raw = getattr(args, "seeds", None)
     if raw is not None:
-        return parse_int_list(raw, "--seeds")
-    value = config.get("harness", {}).get("seeds")
-    if value is None:
-        return tuple(range(10))
-    if isinstance(value, tuple):
-        return value
-    return parse_int_list(str(value), "[harness] seeds")
+        seeds = parse_int_list(raw, "--seeds")
+    else:
+        value = config.get("harness", {}).get("seeds")
+        if value is None:
+            return tuple(range(10))
+        seeds = (value if isinstance(value, tuple)
+                 else parse_int_list(str(value), "[harness] seeds"))
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("seeds must be distinct")
+    return seeds
+
+
+def _test_dialogues(args, config) -> int:
+    value = int(_setting(args, config, "harness", "test_dialogues", 500))
+    if value < 1:
+        raise ConfigError("test dialogues must be at least 1")
+    return value
 
 
 def _error_params(config: dict, env_index: int):
@@ -171,15 +191,15 @@ def cmd_train(args, config) -> int:
     eval_points = tuple(p for p in eval_points if p <= dialogues)
     if not eval_points:
         raise ConfigError("no eval point at or below --dialogues")
-    test_dialogues = _setting(args, config, "harness", "test_dialogues", 500)
+    test_dialogues = _test_dialogues(args, config)
     out = Path(_setting(args, config, "harness", "out", "runs"))
 
-    task = make_task(tasks[0])
+    task = _task_config(tasks[0])
     try:
         spec = RunSpec(tasks[0], algos[0], seeds=seeds,
                        train_dialogues=int(dialogues),
                        eval_points=tuple(sorted(eval_points)),
-                       test_dialogues=int(test_dialogues), out_dir=out)
+                       test_dialogues=test_dialogues, out_dir=out)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     result = run_training(spec,
@@ -202,13 +222,14 @@ def cmd_eval(args, config) -> int:
     if len(tasks) != 1 or len(algos) != 1:
         raise ConfigError("eval runs one task and one algorithm at a time")
     seeds = _resolve_seeds(args, config)
-    test_dialogues = _setting(args, config, "harness", "test_dialogues", 500)
+    test_dialogues = _test_dialogues(args, config)
     out = Path(_setting(args, config, "harness", "out", "runs"))
     eval_task = getattr(args, "eval_task", None)
-    if eval_task is not None:
-        make_task(eval_task)
+    if eval_task is not None and (_task_config(eval_task).domain_code
+                                  != _task_config(tasks[0]).domain_code):
+        raise ConfigError("--eval-task must be in the domain of --task")
     report = evaluate_checkpoint(out, tasks[0], algos[0], seeds,
-                                 int(test_dialogues), eval_task_id=eval_task)
+                                 test_dialogues, eval_task_id=eval_task)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -222,8 +243,7 @@ def cmd_benchmark(args, config) -> int:
     algos = _resolve_algos(raw_algo)
     seeds = _resolve_seeds(args, config)
     dialogues = int(_setting(args, config, "harness", "dialogues", 4000))
-    test_dialogues = int(_setting(args, config, "harness",
-                                  "test_dialogues", 500))
+    test_dialogues = _test_dialogues(args, config)
     out = Path(_setting(args, config, "harness", "out", "runs"))
     path = run_benchmark(algos, tasks, seeds, dialogues, test_dialogues, out,
                          policy_overrides=_policy_overrides(config, algos))
@@ -237,16 +257,14 @@ def cmd_cross(args, config) -> int:
     algos = _resolve_algos(raw_algo)
     raw_domains = getattr(args, "domains", None) or "CR,SFR,LAP"
     domains = _split(raw_domains)
+    for domain in domains:
+        if domain not in DOMAIN_CODES:
+            raise ConfigError(f"unknown domain {domain!r}; choose from "
+                              f"{DOMAIN_CODES}")
     seeds = _resolve_seeds(args, config)
-    test_dialogues = int(_setting(args, config, "harness",
-                                  "test_dialogues", 500))
+    test_dialogues = _test_dialogues(args, config)
     out = Path(_setting(args, config, "harness", "out", "runs"))
-    try:
-        path = run_cross_task(out, algos, domains, seeds, test_dialogues)
-    except CheckpointError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    path = run_cross_task(out, algos, domains, seeds, test_dialogues)
     print(f"cross matrix: {path}")
     return EXIT_OK
 
@@ -271,9 +289,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unreadable artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MissingArtifact as exc:

@@ -19,7 +19,7 @@ bonus on its final turn, so the undiscounted return is 20 * success - turns.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import IO
 
 import numpy as np
@@ -131,7 +131,12 @@ class ContractViolation(RuntimeError):
 
 
 class DialogueEnv:
-    """One reusable environment; reset() starts a fresh dialogue."""
+    """One reusable environment; reset() starts a fresh dialogue.
+
+    The observation and mask are derived once per belief and kept until
+    the next one: ``step`` checks legality against the mask the policy
+    was given, and a terminal step hands back those of the final belief.
+    """
 
     def __init__(self, task: TaskConfig, ontology: Ontology | None = None,
                  error_params: ErrorParams | None = None,
@@ -146,7 +151,10 @@ class DialogueEnv:
         self.actions: tuple[SummaryAction, ...] = build_action_set(self.ontology)
         self._user: SimulatedUser | None = None
         self._belief: BeliefState | None = None
+        self._observation: np.ndarray | None = None
+        self._mask: np.ndarray | None = None
         self._done = True
+        self._success = False
         self._turns = 0
         self._rewards: list[float] = []
         self._trace: list[TurnRecord] = []
@@ -155,6 +163,16 @@ class DialogueEnv:
     def action_count(self) -> int:
         return len(self.actions)
 
+    def _set_belief(self, belief: BeliefState) -> None:
+        self._belief = belief
+        self._observation = flatten(belief, self.ontology)
+        self._mask = compute_mask(belief, self.ontology, self.task.masks_enabled)
+        self._mask.flags.writeable = False
+
+    def _step_result(self, reward: float) -> StepResult:
+        return StepResult(belief=self._belief, observation=self._observation,
+                          mask=self._mask, reward=reward, done=self._done)
+
     def reset(self, rng: np.random.Generator) -> StepResult:
         params = sample_params(self.profile, rng)
         goal = sample_goal(self.ontology, params, rng)
@@ -162,30 +180,20 @@ class DialogueEnv:
         self._done = False
         self._turns = 0
         self._rewards = []
-        self._trace = []
 
         opening = self._user.opening_act(rng)
         nbest = corrupt(opening, self.error_params, self.ontology, rng)
-        belief = update(init_belief(self.ontology), nbest, DialogueAct("hello"), self.ontology)
-        self._belief = belief
-        self._trace.append(
-            TurnRecord(0, DialogueAct("hello"), opening, nbest, belief, None)
-        )
-        return StepResult(
-            belief=belief,
-            observation=flatten(belief, self.ontology),
-            mask=compute_mask(belief, self.ontology, self.task.masks_enabled),
-            reward=0.0,
-            done=False,
-        )
+        hello = DialogueAct("hello")
+        self._set_belief(update(init_belief(self.ontology), nbest, hello, self.ontology))
+        self._trace = [TurnRecord(0, hello, opening, nbest, self._belief, None)]
+        return self._step_result(0.0)
 
     def step(self, action_index: int, rng: np.random.Generator) -> StepResult:
-        if self._done or self._user is None or self._belief is None:
+        if self._done:
             raise ContractViolation("step() on a finished episode")
-        mask = compute_mask(self._belief, self.ontology, self.task.masks_enabled)
         if not 0 <= action_index < len(self.actions):
             raise ContractViolation(f"action index {action_index} out of range")
-        if not mask[action_index]:
+        if not self._mask[action_index]:
             raise ContractViolation(
                 f"action {self.actions[action_index].label()} is masked"
             )
@@ -198,85 +206,41 @@ class DialogueEnv:
         system_act = summary_to_master(action, self._belief, self.ontology)
         self._turns += 1
 
-        if system_act.act_type == "bye":
-            return self._finish(system_act, None, None, action_index, fallback)
+        # Either side saying bye ends the dialogue on the current belief.
+        user_act = nbest = None
+        if system_act.act_type != "bye":
+            user_act = self._user.respond(system_act, rng)
+            if user_act.act_type != "bye":
+                nbest = corrupt(user_act, self.error_params, self.ontology, rng)
+                self._set_belief(update(self._belief, nbest, system_act, self.ontology))
+        record = TurnRecord(self._turns, system_act, user_act, nbest,
+                            self._belief, action_index, fallback)
+        if nbest is None or self._turns >= self.task.max_turns:
+            return self._end(record)
 
-        user_act = self._user.respond(system_act, rng)
-        if user_act.act_type == "bye":
-            return self._finish(system_act, user_act, None, action_index, fallback)
-
-        nbest = corrupt(user_act, self.error_params, self.ontology, rng)
-        belief = update(self._belief, nbest, system_act, self.ontology)
-        self._belief = belief
-        self._trace.append(
-            TurnRecord(self._turns, system_act, user_act, nbest, belief,
-                       action_index, fallback)
-        )
-
-        if self._turns >= self.task.max_turns:
-            return self._close_out(belief)
-
+        self._trace.append(record)
         self._rewards.append(-self.task.turn_penalty)
-        return StepResult(
-            belief=belief,
-            observation=flatten(belief, self.ontology),
-            mask=compute_mask(belief, self.ontology, self.task.masks_enabled),
-            reward=-self.task.turn_penalty,
-            done=False,
-        )
+        return self._step_result(-self.task.turn_penalty)
 
-    def _success(self) -> bool:
-        return is_goal_fulfilled(
-            self._user.goal,
-            [t.system_act for t in self._trace if t.system_act is not None],
-            self.ontology,
-        )
-
-    def _finish(self, system_act: DialogueAct, user_act: DialogueAct | None,
-                nbest: NBestList | None, action_index: int,
-                fallback: bool) -> StepResult:
-        self._trace.append(
-            TurnRecord(self._turns, system_act, user_act, nbest, self._belief,
-                       action_index, fallback)
-        )
-        success = self._success()
+    def _end(self, record: TurnRecord) -> StepResult:
+        """Close the episode on its last turn; success is judged once."""
+        self._trace.append(record)
+        self._success = is_goal_fulfilled(
+            self._user.goal, [t.system_act for t in self._trace], self.ontology)
         reward = -self.task.turn_penalty + (
-            self.task.success_reward if success else 0.0
+            self.task.success_reward if self._success else 0.0
         )
         self._rewards.append(reward)
         self._done = True
-        return StepResult(
-            belief=self._belief,
-            observation=flatten(self._belief, self.ontology),
-            mask=compute_mask(self._belief, self.ontology, self.task.masks_enabled),
-            reward=reward,
-            done=True,
-        )
-
-    def _close_out(self, belief: BeliefState) -> StepResult:
-        """Turn cap reached after a normal exchange."""
-        success = self._success()
-        reward = -self.task.turn_penalty + (
-            self.task.success_reward if success else 0.0
-        )
-        self._rewards.append(reward)
-        self._done = True
-        return StepResult(
-            belief=belief,
-            observation=flatten(belief, self.ontology),
-            mask=compute_mask(belief, self.ontology, self.task.masks_enabled),
-            reward=reward,
-            done=True,
-        )
+        return self._step_result(reward)
 
     def result(self) -> EpisodeResult:
-        if not self._done:
+        if not self._done or self._user is None:
             raise ContractViolation("result() before the episode finished")
-        success = self._success()
         return EpisodeResult(
-            success=success,
+            success=self._success,
             turns=self._turns,
-            final_reward=self.task.success_reward * success - self._turns,
+            final_reward=self.task.success_reward * self._success - self._turns,
             discounted_return=compute_return(self._rewards, self.task.gamma),
             trace=self._trace,
             goal=self._user.goal,

@@ -169,12 +169,12 @@ def run_training(spec: RunSpec, ontology: Ontology | None = None,
                  error_params=None, profile=None,
                  policy_overrides: dict | None = None,
                  write_files: bool = True) -> TrainResult:
-    task = make_task(spec.task_id)
+    # The env keeps no state between dialogues, so the seeds share it.
+    env = DialogueEnv(make_task(spec.task_id), ontology=ontology,
+                      error_params=error_params, profile=profile)
     result = TrainResult(spec, {p: {} for p in spec.eval_points})
 
     for run_seed in spec.seeds:
-        env = DialogueEnv(task, ontology=ontology, error_params=error_params,
-                          profile=profile)
         policy = _build_policy(spec, env, run_seed, policy_overrides)
         train_rng = seed_stream(run_seed, TRAIN_STREAM)
         completed = 0

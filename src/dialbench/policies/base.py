@@ -26,7 +26,7 @@ CHECKPOINT_VERSION = 2
 
 class CheckpointError(ValueError):
     """A checkpoint file that cannot be read back: damaged, of another
-    format version, or missing header fields."""
+    format version, missing header fields, or built for another domain."""
 
 
 @dataclass(frozen=True)
@@ -168,10 +168,10 @@ def load_policy(path: str | Path, ontology: Ontology | None = None) -> Policy:
         # a domain-bound policy names its domain; a learner is checked
         # by the width of the belief vector it reads
         if domain and domain != ontology.code:
-            raise ValueError(f"checkpoint was built for {domain}, "
-                             f"got ontology {ontology.code}")
+            raise CheckpointError(f"checkpoint {path} was built for "
+                                  f"{domain}, got ontology {ontology.code}")
         if not domain and header["obs_dim"] != belief_dim(ontology):
-            raise ValueError(
+            raise CheckpointError(
                 f"checkpoint {path} reads beliefs of width "
                 f"{header['obs_dim']}, but the {ontology.code} ontology's "
                 f"belief has width {belief_dim(ontology)}")

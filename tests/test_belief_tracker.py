@@ -284,3 +284,16 @@ def test_each_ontology_gets_its_own_layout():
     assert layout_for(lap).constraint_names == [
         s.name for s in lap.constraint_slots]
 
+
+
+def test_belief_is_read_only(ontology):
+    slot = ontology.constraint_slots[0]
+    belief = update(init_belief(ontology),
+                    nbest_of(inform(slot.name, slot.values[0], 0.5)),
+                    DialogueAct("hello"), ontology)
+    with pytest.raises(ValueError):
+        flatten(belief, ontology)[0] = 0.5
+    with pytest.raises(ValueError):
+        belief.slot_beliefs[slot.name][NONE_IDX] = 0.5
+    with pytest.raises(ValueError):
+        belief.requested[0] = 1.0

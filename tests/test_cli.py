@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dialbench import bench_cli
 from dialbench.bench_cli import main
 from dialbench.environment import list_tasks
 from dialbench.policies import load_policy
@@ -107,6 +108,66 @@ def test_train_rejects_task_lists(capsys, tmp_path):
                            "--out", str(tmp_path))
     assert code == 2
     assert "one task" in err
+
+
+def test_bad_eval_task_exits_2(capsys, tmp_path):
+    for eval_task, message in (("env9-CR", "unknown task id"),
+                               ("env1-SFR", "domain of --task")):
+        code, _, err = run_cli(capsys, "eval", "--task", "env1-CR",
+                               "--algo", "handcrafted", "--seeds", "0",
+                               "--eval-task", eval_task,
+                               "--out", str(tmp_path))
+        assert code == 2
+        assert message in err
+
+
+def test_unknown_cross_domain_exits_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "cross", "--algo", "handcrafted",
+                           "--domains", "CR,XX", "--seeds", "0",
+                           "--out", str(tmp_path))
+    assert code == 2
+    assert "unknown domain 'XX'" in err
+
+
+def test_repeated_seeds_exit_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "benchmark", "--task", "env1-CR",
+                           "--algo", "handcrafted", "--seeds", "0,0",
+                           "--dialogues", "2", "--out", str(tmp_path))
+    assert code == 2
+    assert "distinct" in err
+
+
+def test_zero_test_dialogues_exit_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "train", "--task", "env1-CR",
+                           "--algo", "handcrafted", "--seeds", "0",
+                           "--dialogues", "2", "--eval-at", "2",
+                           "--test-dialogues", "0", "--out", str(tmp_path))
+    assert code == 2
+    assert "at least 1" in err
+
+
+def test_checkpoint_of_another_domain_exits_3(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, "train", "--task", "env1-CR", "--algo", "dqn",
+                         "--seeds", "0", "--dialogues", "2", "--eval-at", "2",
+                         "--test-dialogues", "2", "--out", str(tmp_path))
+    assert code == 0
+    checkpoints = tmp_path / "checkpoints"
+    (checkpoints / "env1-CR").rename(checkpoints / "env1-SFR")
+    code, _, err = run_cli(capsys, "eval", "--task", "env1-SFR",
+                           "--algo", "dqn", "--seeds", "0",
+                           "--test-dialogues", "2", "--out", str(tmp_path))
+    assert code == 3
+    assert "width" in err
+
+
+def test_internal_fault_is_not_a_config_error(monkeypatch, tmp_path):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+    monkeypatch.setattr(bench_cli, "run_training", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["train", "--task", "env1-CR", "--algo", "handcrafted",
+              "--seeds", "0", "--dialogues", "2", "--eval-at", "2",
+              "--out", str(tmp_path)])
 
 
 # ------------------------------------------------------------- train

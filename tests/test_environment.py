@@ -6,6 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from dialbench import environment
+from dialbench.action_space import compute_mask
+from dialbench.belief_tracker import flatten
 from dialbench.domain import generate_domain
 from dialbench.environment import (
     GAMMA,
@@ -20,6 +23,7 @@ from dialbench.environment import (
     write_trace,
 )
 from dialbench.error_channel import PRESETS
+from dialbench.policies import HandcraftedPolicy
 from dialbench.simulated_user import ProfileDistribution, STANDARD_PROFILE
 
 CATALOG = {
@@ -125,14 +129,17 @@ def test_reward_identity_under_noise():
         assert len(rewards) == result.turns
 
 
+# infinitely patient user; with a policy that only ever asks questions the
+# dialogue runs into the turn cap
+STUBBORN = ProfileDistribution(
+    "stubborn",
+    dict(STANDARD_PROFILE.intervals, patience=(60, 60), p_abandon=(0.0, 0.0),
+         p_silence=(0.0, 0.0), p_random_goal_change=(0.0, 0.0)),
+)
+
+
 def test_turn_cap_reached_by_stalling():
-    # infinitely patient user + a policy that only ever asks questions
-    profile = ProfileDistribution(
-        "stubborn",
-        dict(STANDARD_PROFILE.intervals, patience=(60, 60), p_abandon=(0.0, 0.0),
-             p_silence=(0.0, 0.0), p_random_goal_change=(0.0, 0.0)),
-    )
-    env = DialogueEnv(make_task("env4-CR"), profile=profile)
+    env = DialogueEnv(make_task("env4-CR"), profile=STUBBORN)
     request_indices = [i for i, a in enumerate(env.actions) if a.kind == "request"]
     rng = np.random.default_rng(3)
     step = env.reset(rng)
@@ -178,6 +185,92 @@ def test_out_of_range_action_raises():
     env.reset(np.random.default_rng(0))
     with pytest.raises(ContractViolation):
         env.step(env.action_count, np.random.default_rng(1))
+
+
+def counting(monkeypatch, name):
+    """Count the env's calls of one of the functions it imports."""
+    calls = []
+    original = getattr(environment, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(environment, name, wrapper)
+    return calls
+
+
+def test_mask_and_success_computed_once(monkeypatch):
+    masks = counting(monkeypatch, "compute_mask")
+    goal_checks = counting(monkeypatch, "is_goal_fulfilled")
+    env = DialogueEnv(make_task("env3-SFR"))
+    policy = HandcraftedPolicy(env.ontology)
+    rng = np.random.default_rng(21)
+    episodes, steps = 40, 0
+    for _ in range(episodes):
+        step = env.reset(rng)
+        while not step.done:
+            assert not step.mask.flags.writeable
+            step = env.step(policy.act(step.observation, step.mask, rng,
+                                       belief=step.belief), rng)
+            steps += 1
+        env.result()
+        env.result()    # reads the success judged when the episode ended
+    assert len(masks) <= steps + episodes
+    assert len(goal_checks) == episodes
+
+
+def drive(env, rng, choose):
+    """Run one episode; returns the last two steps and the result."""
+    previous = step = env.reset(rng)
+    while not step.done:
+        previous, step = step, env.step(choose(env, step), rng)
+    return previous, step, env.result()
+
+
+def assert_terminal_contract(env, terminal, result):
+    final = result.trace[-1].belief
+    assert terminal.belief is final
+    assert np.array_equal(terminal.mask,
+                          compute_mask(final, env.ontology,
+                                       env.task.masks_enabled))
+    assert np.array_equal(terminal.observation, flatten(final, env.ontology))
+
+
+def test_terminal_step_carries_final_mask_and_observation():
+    # system bye: the dialogue ends on the belief the policy acted on
+    env = DialogueEnv(make_task("env3-CR"))
+    bye = next(a.index for a in env.actions if a.kind == "bye")
+    previous, terminal, result = drive(env, np.random.default_rng(4),
+                                       lambda env, step: bye)
+    assert result.trace[-1].system_act.act_type == "bye"
+    assert_terminal_contract(env, terminal, result)
+    assert terminal.mask is previous.mask
+
+    # user bye, after a handcrafted dialogue
+    policy = HandcraftedPolicy(env.ontology)
+    rng = np.random.default_rng(5)
+
+    def handcrafted(env, step):
+        return policy.act(step.observation, step.mask, rng, belief=step.belief)
+    for _ in range(50):
+        previous, terminal, result = drive(env, rng, handcrafted)
+        last = result.trace[-1]
+        if last.system_act.act_type != "bye" and last.user_act.act_type == "bye":
+            break
+    else:
+        pytest.fail("no dialogue ended on a user bye")
+    assert_terminal_contract(env, terminal, result)
+    assert terminal.mask is previous.mask
+
+    # turn cap: the final belief is the one this last exchange produced
+    env = DialogueEnv(make_task("env4-CR"), profile=STUBBORN)
+    request = next(a.index for a in env.actions if a.kind == "request")
+    previous, terminal, result = drive(env, np.random.default_rng(3),
+                                       lambda env, step: request)
+    assert result.turns == MAX_TURNS
+    assert result.trace[-1].nbest is not None
+    assert terminal.belief is not previous.belief
+    assert_terminal_contract(env, terminal, result)
 
 
 def test_env_is_reusable_across_episodes():

@@ -190,6 +190,21 @@ def test_learner_checkpoint_refuses_another_domain(tmp_path):
     assert load_policy(path, ontology=CR).obs_dim == belief_dim(CR)
 
 
+def test_run_training_builds_one_env_per_run(monkeypatch):
+    from dialbench import environment
+
+    domains = []
+
+    def counted(code):
+        domains.append(code)
+        return generate_domain(code)
+    monkeypatch.setattr(environment, "generate_domain", counted)
+    spec = RunSpec("env1-CR", "handcrafted", seeds=(0, 1, 2),
+                   train_dialogues=2, eval_points=(2,), test_dialogues=2)
+    run_training(spec, write_files=False)
+    assert domains == ["CR"]
+
+
 # ------------------------------------------------------------- training runs
 
 
