@@ -19,11 +19,9 @@ import numpy as np
 
 from dialbench.belief_tracker import (
     DONTCARE_IDX,
-    NONE_IDX,
     VALUE_OFFSET,
     BeliefState,
     method_top,
-    top_nonnone,
 )
 from dialbench.domain import DONTCARE, Ontology, query
 from dialbench.semantics import DialogueAct
@@ -84,26 +82,20 @@ def compute_mask(belief: BeliefState, ontology: Ontology,
     legal[2] = method == "byalternatives" or belief.entity_offered > OFFERED_THRESHOLD
     # indices 3 (bye) and 4 (reqmore) always stay legal
 
+    slots = belief.slot_summary
     base = len(SLOT_INDEPENDENT)
-    for k, slot in enumerate(ontology.constraint_slots):
-        dist = belief.slot_beliefs[slot.name]
-        none_is_top = int(np.argmax(dist)) == NONE_IDX
-        settled = float(dist[DONTCARE_IDX:].max()) > REQUEST_SETTLED
-        legal[base + 3 * k + 0] = not settled      # request
-        legal[base + 3 * k + 1] = not none_is_top  # confirm
-        legal[base + 3 * k + 2] = not none_is_top  # select
+    legal[base::3] = slots.best <= REQUEST_SETTLED   # request until settled
+    legal[base + 1::3] = ~slots.none_top             # confirm
+    legal[base + 2::3] = ~slots.none_top             # select
     return legal
 
 
 def _top_constraints(belief: BeliefState, ontology: Ontology) -> dict[str, str]:
     """Constraint dict from per-slot belief tops; none/dontcare drop out."""
-    constraints = {}
-    for slot in ontology.constraint_slots:
-        dist = belief.slot_beliefs[slot.name]
-        idx = int(np.argmax(dist))
-        if idx >= VALUE_OFFSET:
-            constraints[slot.name] = slot.values[idx - VALUE_OFFSET]
-    return constraints
+    return {slot.name: slot.values[idx - VALUE_OFFSET]
+            for slot, idx in zip(ontology.constraint_slots,
+                                 belief.slot_summary.top.tolist())
+            if idx >= VALUE_OFFSET}
 
 
 def _offer_items(entity, constraints: dict[str, str],

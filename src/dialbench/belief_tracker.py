@@ -14,6 +14,8 @@ user has asked for, and two discourse flags.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from dialbench.domain import DONTCARE, Ontology
@@ -31,27 +33,41 @@ _SYSTEM_INFORM_ACTS = frozenset(
 )
 
 
+class SlotSummary(NamedTuple):
+    """What a belief says about each constraint slot, in ontology order."""
+
+    top: np.ndarray       # index of the most probable entry (first on ties)
+    none_top: np.ndarray  # none is the most probable entry
+    best: np.ndarray      # probability of the best entry other than none
+
+
 class BeliefState:
     """Snapshot of the tracked state; never mutated.
 
     The numbers live in one read-only float64 ``vector`` in ``flatten``
     order.  ``slot_beliefs``, ``method`` and ``requested`` are views into
-    it, and the two discourse flags are its last two entries.
+    it, and the two discourse flags are its last two entries.  The vector
+    is a view of ``padded``, which carries one more entry, a ``-1.0``
+    sentinel that the layout's gather matrix uses as padding.
     """
 
-    __slots__ = ("vector", "slot_beliefs", "method", "requested",
-                 "offered_entity_id", "last_system_act")
+    __slots__ = ("padded", "vector", "slot_beliefs", "method", "requested",
+                 "offered_entity_id", "last_system_act", "_layout",
+                 "_summary")
 
-    def __init__(self, vector: np.ndarray, layout: _Layout,
+    def __init__(self, padded: np.ndarray, layout: _Layout,
                  offered_entity_id: str | None, last_system_act: DialogueAct):
-        vector.flags.writeable = False
-        self.vector = vector
+        padded.flags.writeable = False
+        self.padded = padded
+        self.vector = vector = padded[:-1]
         self.slot_beliefs = {name: vector[sl]
                              for name, sl in layout.slot_slices.items()}
         self.method = vector[layout.method_slice]
         self.requested = vector[layout.requested_slice]  # requestable_slots order
         self.offered_entity_id = offered_entity_id
         self.last_system_act = last_system_act
+        self._layout = layout
+        self._summary = None
 
     @property
     def entity_offered(self) -> float:
@@ -60,6 +76,14 @@ class BeliefState:
     @property
     def last_user_act_null(self) -> bool:
         return bool(self.vector[-1])
+
+    @property
+    def slot_summary(self) -> SlotSummary:
+        """Per-slot tops and best non-none probabilities, worked out on
+        first use and kept, since the belief never changes."""
+        if self._summary is None:
+            self._summary = summarise_slots(self.padded, self._layout)
+        return self._summary
 
 
 class _Layout:
@@ -86,11 +110,23 @@ class _Layout:
         start = self.method_slice.stop
         self.requested_slice = slice(start, start + len(self.requestable_index))
         self.dim = self.requested_slice.stop + 2
-        # All slots on none, method none, nothing requested or offered.
-        initial = np.zeros(self.dim)
+        # The slot and method slices, in vector order, and their starts as
+        # segments of the vector up to the method slice's end.
+        self.focus_slices = (*self.slot_slices.values(), self.method_slice)
+        self.focus_starts = np.array([sl.start for sl in self.focus_slices])
+        # One row per constraint slot, as wide as the widest slot; padding
+        # points at the sentinel entry ``dim`` of a padded vector.
+        width = max(self.slot_dims.values())
+        self.gather = np.full((len(self.slot_slices), width), self.dim)
+        for row, sl in zip(self.gather, self.slot_slices.values()):
+            row[:sl.stop - sl.start] = np.arange(sl.start, sl.stop)
+        # All slots on none, method none, nothing requested or offered,
+        # then the sentinel.
+        initial = np.zeros(self.dim + 1)
         for sl in self.slot_slices.values():
             initial[sl.start + NONE_IDX] = 1.0
         initial[self.method_slice.start] = 1.0
+        initial[-1] = -1.0
         initial.flags.writeable = False
         self.initial = initial
 
@@ -124,6 +160,18 @@ def init_belief(ontology: Ontology) -> BeliefState:
     return BeliefState(lay.initial, lay, None, DialogueAct("hello"))
 
 
+def summarise_slots(padded: np.ndarray, layout: _Layout) -> SlotSummary:
+    """The per-slot summary of one padded belief vector.
+
+    The sentinel is below every probability, so padding never wins an
+    argmax or a max, and ties go to the first entry as in a per-slot
+    ``np.argmax``.
+    """
+    dists = padded[layout.gather]
+    top = dists.argmax(axis=1)
+    return SlotSummary(top, top == NONE_IDX, dists[:, DONTCARE_IDX:].max(axis=1))
+
+
 def _focus(prior: np.ndarray, evidence: np.ndarray) -> np.ndarray:
     mass = evidence.sum()
     if mass > 1.0:
@@ -138,7 +186,8 @@ def update(belief: BeliefState, nbest: NBestList, system_act: DialogueAct,
            ontology: Ontology) -> BeliefState:
     """Fold one turn of observations into a new belief state."""
     lay = layout_for(ontology)
-    vec = belief.vector.copy()
+    padded = belief.padded.copy()
+    vec = padded[:-1]
     requested = vec[lay.requested_slice]
     method0 = lay.method_slice.start
 
@@ -205,10 +254,11 @@ def update(belief: BeliefState, nbest: NBestList, system_act: DialogueAct,
         elif act.act_type == "bye":
             evidence[method0 + METHOD_VALUES.index("finished")] += conf
 
-    for sl in (*lay.slot_slices.values(), lay.method_slice):
-        ev = evidence[sl]
-        if ev.any():
-            vec[sl] = _focus(vec[sl], ev)
+    has_evidence = np.logical_or.reduceat(
+        evidence[:lay.method_slice.stop] != 0, lay.focus_starts)
+    for k in np.flatnonzero(has_evidence).tolist():
+        sl = lay.focus_slices[k]
+        vec[sl] = _focus(vec[sl], evidence[sl])
 
     for r_idx, conf in enumerate(request_evidence):
         if conf > 0.0:
@@ -217,7 +267,7 @@ def update(belief: BeliefState, nbest: NBestList, system_act: DialogueAct,
 
     top = nbest.top
     vec[-1] = top is None or top.act.act_type == "null"
-    return BeliefState(vec, lay, offered_id, system_act)
+    return BeliefState(padded, lay, offered_id, system_act)
 
 
 def slot_top(belief: BeliefState, slot: str, ontology: Ontology) -> tuple[str, float]:

@@ -159,15 +159,21 @@ def _profile(config: dict):
 
 def _policy_overrides(config: dict, algos: list[str]) -> dict:
     """[policy] hyperparameters; each must be a config field of every
-    chosen algorithm."""
+    chosen algorithm, with a value of the field's type (an integer also
+    serves for a float field)."""
     overrides = dict(config.get("policy", {}))
     overrides.pop("algorithm", None)
     for algo in algos:
         fields = config_fields(algo)
-        for key in overrides:
+        for key, value in overrides.items():
             if key not in fields:
                 raise ConfigError(f"[policy] key {key!r} is not a setting of "
                                   f"{algo}; choose from {sorted(fields)}")
+            kind = fields[key]
+            accepted = (int, float) if kind is float else (kind,)
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigError(f"[policy] key {key!r} of {algo} must be "
+                                  f"{kind.__name__}, got {value!r}")
     return overrides
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
+import typing
 
 import numpy as np
 
@@ -35,9 +35,10 @@ CONFIGS = {
 }
 
 
-def config_fields(algorithm: str) -> tuple[str, ...]:
-    """Names ``make_policy`` accepts as overrides for ``algorithm``."""
-    return tuple(f.name for f in dataclasses.fields(CONFIGS[algorithm]))
+def config_fields(algorithm: str) -> dict[str, type]:
+    """Names ``make_policy`` accepts as overrides for ``algorithm``, each
+    with the type of its config field."""
+    return typing.get_type_hints(CONFIGS[algorithm])
 
 
 def make_policy(algorithm: str, obs_dim: int, action_count: int,

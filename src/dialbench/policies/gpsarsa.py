@@ -61,15 +61,6 @@ def _bordered_inverse(m_inv: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
     return out
 
 
-def _removed_inverse(m_inv: np.ndarray, i: int) -> np.ndarray:
-    """Inverse of M with row/column i deleted, given M^-1."""
-    n = m_inv.shape[0]
-    order = [j for j in range(n) if j != i] + [i]
-    perm = m_inv[np.ix_(order, order)]
-    e, f, g = perm[:-1, :-1], perm[:-1, -1], perm[-1, -1]
-    return e - np.outer(f, f) / g
-
-
 class _Block:
     """Dictionary and maintained inverses for one action."""
 
@@ -86,6 +77,15 @@ class _Block:
     @property
     def n(self) -> int:
         return self.x.shape[0]
+
+    @property
+    def k_inv(self) -> np.ndarray:
+        return self._k_inv
+
+    @k_inv.setter
+    def k_inv(self, value: np.ndarray) -> None:
+        self._k_inv = value
+        self._most_redundant = None
 
     def _refresh(self) -> None:
         if self.n == 0:
@@ -106,8 +106,8 @@ class _Block:
         if self._events % self.config.refresh_every == 0:
             self._refresh()
 
-    def posterior(self, x: np.ndarray) -> tuple[float, float]:
-        k_self = float(x @ x)
+    def posterior(self, x: np.ndarray, k_self: float) -> tuple[float, float]:
+        """Mean and variance at ``x``, given ``k_self = x @ x``."""
         if self.n == 0:
             return 0.0, k_self
         k = self.x @ x
@@ -154,19 +154,35 @@ class _Block:
         self._recompute_w()
         self._tick()
 
-    def remove(self, i: int) -> None:
-        self.a_inv = _removed_inverse(self.a_inv, i)
-        self.k_inv = _removed_inverse(self.k_inv, i)
+    def merge_into_nearest(self, i: int) -> None:
+        """Fold point i into its nearest neighbour and rebuild the block.
+
+        The rebuild replaces every maintained quantity, so the downdates
+        a removal would make first are skipped; the event still counts
+        toward the refresh cadence.
+        """
+        x_i, ysum_i, count_i = self.x[i], self.ysum[i], self.counts[i]
         keep = np.arange(self.n) != i
         self.x = self.x[keep]
         self.ysum = self.ysum[keep]
         self.counts = self.counts[keep]
-        self._recompute_w()
-        self._tick()
+        j = self.nearest(x_i)
+        self.ysum[j] += ysum_i
+        self.counts[j] += count_i
+        self._events += 1
+        # the noise diagonal of j changed by more than a single count,
+        # so rebuild this block exactly
+        self._refresh()
 
-    def redundancy(self) -> np.ndarray:
-        """Low values mark points well explained by the rest of the block."""
-        return 1.0 / np.maximum(np.diag(self.k_inv), 1e-12)
+    def most_redundant(self) -> tuple[float, int]:
+        """(score, index) of the point best explained by the rest of the
+        block: the lowest score, first on ties.  Kept until ``k_inv`` is
+        next assigned."""
+        if self._most_redundant is None:
+            scores = 1.0 / np.maximum(np.diag(self.k_inv), 1e-12)
+            i = int(np.argmin(scores))
+            self._most_redundant = (float(scores[i]), i)
+        return self._most_redundant
 
 
 class GPSarsaPolicy(Policy):
@@ -187,17 +203,19 @@ class GPSarsaPolicy(Policy):
     # -- acting --------------------------------------------------------------
 
     def q_posterior(self, observation: np.ndarray, action: int) -> tuple[float, float]:
-        return self.blocks[action].posterior(np.asarray(observation, dtype=float))
+        x = np.asarray(observation, dtype=float)
+        return self.blocks[action].posterior(x, float(x @ x))
 
     def act(self, observation: np.ndarray, mask: np.ndarray,
             rng: np.random.Generator, greedy: bool = False,
             belief: BeliefState | None = None) -> int:
         x = np.asarray(observation, dtype=float)
+        k_self = float(x @ x)
         scores = np.full(self.action_count, -np.inf)
         for a in range(self.action_count):
             if not mask[a]:
                 continue
-            mean, var = self.blocks[a].posterior(x)
+            mean, var = self.blocks[a].posterior(x, k_self)
             if greedy:
                 scores[a] = mean
             else:
@@ -239,23 +257,13 @@ class GPSarsaPolicy(Policy):
             for a, block in enumerate(self.blocks):
                 if block.n < 2:
                     continue
-                scores = block.redundancy()
-                i = int(np.argmin(scores))
-                if best is None or scores[i] < best[0]:
-                    best = (float(scores[i]), a, i)
+                score, i = block.most_redundant()
+                if best is None or score < best[0]:
+                    best = (score, a, i)
             if best is None:
                 return
             _, a, i = best
-            block = self.blocks[a]
-            x_i = block.x[i]
-            ysum_i, count_i = block.ysum[i], block.counts[i]
-            block.remove(i)
-            j = block.nearest(x_i)
-            block.ysum[j] += ysum_i
-            block.counts[j] += count_i
-            # the noise diagonal of j changed by more than a single count,
-            # so rebuild this block exactly
-            block._refresh()
+            self.blocks[a].merge_into_nearest(i)
 
     # -- persistence ---------------------------------------------------------
 

@@ -25,7 +25,7 @@ from dialbench.action_space import (
     build_action_set,
     _top_constraints,
 )
-from dialbench.belief_tracker import BeliefState, method_top, top_nonnone, NONE_IDX
+from dialbench.belief_tracker import BeliefState, method_top
 from dialbench.domain import Ontology, query
 from dialbench.policies.base import Policy
 
@@ -76,23 +76,19 @@ class HandcraftedPolicy(Policy):
         if method_top(belief) == "byalternatives":
             yield self._idx("inform_alternatives")
 
-        for slot in ontology.constraint_slots:
-            _, prob = top_nonnone(belief, slot.name, ontology)
-            if CONFIRM_LOW <= prob < CONFIRM_HIGH:
-                yield self._idx("confirm", slot.name)
-                break
+        # rules 3 and 4 take the first slot in ontology order on ties
+        slots = belief.slot_summary
+        unsure = np.flatnonzero((slots.best >= CONFIRM_LOW)
+                                & (slots.best < CONFIRM_HIGH))
+        if unsure.size:
+            yield self._idx("confirm", ontology.constraint_slots[unsure[0]].name)
 
-        unknown = []
-        for slot in ontology.constraint_slots:
-            dist = belief.slot_beliefs[slot.name]
-            _, prob = top_nonnone(belief, slot.name, ontology)
-            if int(np.argmax(dist)) == NONE_IDX or prob < CONFIRM_LOW:
-                unknown.append((prob, slot.name))
-        if unknown:
+        unknown = np.flatnonzero(slots.none_top | (slots.best < CONFIRM_LOW))
+        if unknown.size:
             matches = query(ontology, _top_constraints(belief, ontology))
             if len(matches) > self.config.entity_threshold:
-                _, slot_name = min(unknown, key=lambda pair: pair[0])
-                yield self._idx("request", slot_name)
+                least = unknown[np.argmin(slots.best[unknown])]
+                yield self._idx("request", ontology.constraint_slots[least].name)
 
         yield self._idx("inform_byconstraints")
 

@@ -296,6 +296,25 @@ def test_unknown_policy_key_exits_2(capsys, tmp_path):
     assert "not a setting of handcrafted" in err
 
 
+def test_policy_value_of_the_wrong_type_exits_2(capsys, tmp_path):
+    ini = tmp_path / "bad.ini"
+    argv = ("train", "--task", "env1-CR", "--algo", "dqn", "--seeds", "0",
+            "--dialogues", "2", "--eval-at", "2", "--test-dialogues", "2",
+            "--config", str(ini), "--out", str(tmp_path))
+    for bad in ("hidden1 = abc", "hidden1 = 16.5", "lr = yes"):
+        ini.write_text(f"[policy]\n{bad}\n")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, bad
+        key = bad.split()[0]
+        kind = "int" if key == "hidden1" else "float"
+        assert "config error" in err and f"'{key}'" in err and kind in err
+        assert not (tmp_path / "checkpoints").exists()
+    # an integer serves for a float field
+    ini.write_text("[policy]\nlr = 1\nhidden1 = 4\nhidden2 = 4\n")
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+
 # ------------------------------------------------------------- benchmark
 
 

@@ -298,6 +298,22 @@ print(len(steps))
 """
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def run_pinned(tmp_path, env):
+    """Run ``PINNED_RUN`` in a fresh process; return its train-step count
+    and the SHA-256 of the checkpoint it wrote."""
+    env = dict(env, PYTHONPATH=str(Path(dialbench.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", PINNED_RUN, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    path = tmp_path / "checkpoints" / "env3-SFR" / "dqn" / "seed0-d40.npz"
+    return (int(done.stdout.split()[-1]),
+            hashlib.sha256(path.read_bytes()).hexdigest())
+
+
 def test_dqn_checkpoint_bytes_are_pinned(tmp_path):
     """Any change to the floating-point operations of DQN training (the
     net, backprop, Adam, the replay draws) changes these bytes.
@@ -306,12 +322,14 @@ def test_dqn_checkpoint_bytes_are_pinned(tmp_path):
     splits its sums by the thread count, which would tie the bytes to the
     machine's core count.
     """
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=str(Path(dialbench.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", PINNED_RUN, str(tmp_path)],
-                          env=env, capture_output=True, text=True,
-                          timeout=60, check=True)
-    assert int(done.stdout.split()[-1]) == 198
-    path = tmp_path / "checkpoints" / "env3-SFR" / "dqn" / "seed0-d40.npz"
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DQN_CHECKPOINT
+    env = dict(os.environ, **{var: "1" for var in BLAS_THREAD_VARS})
+    steps, digest = run_pinned(tmp_path, env)
+    assert steps == 198
+    assert digest == PINNED_DQN_CHECKPOINT
+
+
+def test_package_pins_one_blas_thread(tmp_path):
+    """With no BLAS thread setting in the environment, importing dialbench
+    sets one thread, so the pinned bytes come out on any core count."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    assert run_pinned(tmp_path, env) == (198, PINNED_DQN_CHECKPOINT)

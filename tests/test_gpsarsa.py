@@ -1,5 +1,5 @@
 """Gaussian-process SARSA: posterior correctness, dictionary maintenance,
-incremental-inverse identities, and learning on a tiny chain MDP."""
+the incremental-inverse identity, and learning on a tiny chain MDP."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from dialbench.policies.gpsarsa import (
     GPSarsaConfig,
     GPSarsaPolicy,
     _bordered_inverse,
-    _removed_inverse,
 )
 
 
@@ -62,18 +61,6 @@ def test_bordered_inverse_from_empty():
     out = _bordered_inverse(np.zeros((0, 0)), np.zeros(0), 4.0)
     assert out.shape == (1, 1)
     assert out[0, 0] == 0.25
-
-
-def test_removed_inverse_identity():
-    rng = np.random.default_rng(1)
-    n = 6
-    base = rng.normal(size=(n + 2, n))
-    m = base.T @ base + 0.5 * np.eye(n)
-    m_inv = np.linalg.inv(m)
-    for i in (0, 2, n - 1):
-        keep = [j for j in range(n) if j != i]
-        expected = np.linalg.inv(m[np.ix_(keep, keep)])
-        assert np.allclose(_removed_inverse(m_inv, i), expected, atol=1e-8)
 
 
 # ------------------------------------------------------------- posterior
@@ -173,6 +160,23 @@ def test_budget_eviction_caps_points():
     for block in policy.blocks:
         if block.n:
             assert a_inverse_error(block, config) < 1e-6
+
+
+def test_cached_redundancy_never_goes_stale():
+    # frequent refreshes, merges and evictions all reassign k_inv
+    rng = np.random.default_rng(6)
+    config = GPSarsaConfig(nu=0.01, max_points=8, refresh_every=7)
+    policy = GPSarsaPolicy(obs_dim=12, action_count=3, config=config)
+    centres = rng.random((10, 12))
+    for _ in range(300):
+        x = centres[int(rng.integers(10))] + 0.05 * rng.random(12)
+        policy._ingest(x, int(rng.integers(3)), float(rng.normal()))
+        for block in policy.blocks:
+            if block.n:
+                scores = 1.0 / np.maximum(np.diag(block.k_inv), 1e-12)
+                i = int(np.argmin(scores))
+                assert block.most_redundant() == (scores[i], i)
+    assert policy.total_points == 8
 
 
 # ------------------------------------------------------------- sarsa wiring
