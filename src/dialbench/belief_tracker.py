@@ -270,32 +270,6 @@ def update(belief: BeliefState, nbest: NBestList, system_act: DialogueAct,
     return BeliefState(padded, lay, offered_id, system_act)
 
 
-def slot_top(belief: BeliefState, slot: str, ontology: Ontology) -> tuple[str, float]:
-    """Most probable entry of a slot distribution as (label, probability).
-
-    The label is ``none``, ``dontcare``, or a value name.
-    """
-    dist = belief.slot_beliefs[slot]
-    idx = int(np.argmax(dist))
-    if idx == NONE_IDX:
-        return ("none", float(dist[idx]))
-    if idx == DONTCARE_IDX:
-        return (DONTCARE, float(dist[idx]))
-    values = ontology.slot_by_name[slot].values
-    return (values[idx - VALUE_OFFSET], float(dist[idx]))
-
-
-def top_nonnone(belief: BeliefState, slot: str, ontology: Ontology) -> tuple[str, float]:
-    """Best entry other than none; dontcare counts as an entry."""
-    dist = belief.slot_beliefs[slot]
-    sub = dist[DONTCARE_IDX:]
-    idx = int(np.argmax(sub)) + DONTCARE_IDX
-    if idx == DONTCARE_IDX:
-        return (DONTCARE, float(dist[idx]))
-    values = ontology.slot_by_name[slot].values
-    return (values[idx - VALUE_OFFSET], float(dist[idx]))
-
-
 def method_top(belief: BeliefState) -> str:
     return METHOD_VALUES[int(np.argmax(belief.method))]
 

@@ -19,6 +19,7 @@ from dialbench.domain import DOMAIN_CODES
 from dialbench.environment import TaskConfig, list_tasks, make_task
 from dialbench.error_channel import PRESETS, params_with, preset_for_env
 from dialbench.harness import (
+    DEFAULT_EVAL_POINTS,
     MissingArtifact,
     RunSpec,
     evaluate_checkpoint,
@@ -75,11 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setting(args: argparse.Namespace, config: dict, section: str, key: str,
-             default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
+def _setting(flag, config: dict, section: str, key: str, default=None):
+    """The flag's value if given, else ``[section] key``, else ``default``."""
+    if flag is not None:
+        return flag
     return config.get(section, {}).get(key, default)
 
 
@@ -119,33 +119,32 @@ def _resolve_algos(raw: str | None) -> list[str]:
 
 
 def _resolve_seeds(args, config) -> tuple[int, ...]:
-    raw = getattr(args, "seeds", None)
-    if raw is not None:
-        seeds = parse_int_list(raw, "--seeds")
+    if args.seeds is not None:
+        seeds = parse_int_list(args.seeds, "--seeds")
     else:
-        value = config.get("harness", {}).get("seeds")
-        if value is None:
-            return tuple(range(10))
-        seeds = (value if isinstance(value, tuple)
-                 else parse_int_list(str(value), "[harness] seeds"))
+        seeds = config.get("harness", {}).get("seeds", tuple(range(10)))
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
     return seeds
 
 
 def _test_dialogues(args, config) -> int:
-    value = int(_setting(args, config, "harness", "test_dialogues", 500))
+    value = _setting(args.test_dialogues, config, "harness", "test_dialogues",
+                     500)
     if value < 1:
         raise ConfigError("test dialogues must be at least 1")
     return value
 
 
-def _error_params(config: dict, env_index: int):
+def _error_params(config: dict, task: TaskConfig):
     section = dict(config.get("errormodel", {}))
     if not section:
         return None
+    if "ser" in section:
+        raise ConfigError(f"[errormodel] cannot set ser: {task.task_id} "
+                          f"runs at its fixed rate {task.ser}")
     preset = section.pop("preset", None)
-    base = PRESETS[preset] if preset else preset_for_env(env_index)
+    base = PRESETS[preset] if preset else preset_for_env(task.env_index)
     try:
         return params_with(base, **section)
     except (TypeError, ValueError) as exc:
@@ -155,6 +154,23 @@ def _error_params(config: dict, env_index: int):
 def _profile(config: dict):
     name = config.get("simuser", {}).get("profile")
     return PROFILES[name] if name else None
+
+
+def _refuse_env_sections(config: dict, verb: str) -> None:
+    """Only train builds its env from ``[errormodel]`` and ``[simuser]``."""
+    for section in ("errormodel", "simuser"):
+        if config.get(section):
+            raise ConfigError(f"{verb} does not read [{section}]; "
+                              f"only train applies it")
+
+
+def _refuse_policy_settings(config: dict, verb: str) -> None:
+    """A reloaded checkpoint keeps the settings it was trained with."""
+    keys = sorted(config.get("policy", {}).keys() - {"algorithm"})
+    if keys:
+        raise ConfigError(f"{verb} reads only 'algorithm' from [policy], "
+                          f"got {keys}: a checkpoint keeps the settings it "
+                          f"was trained with")
 
 
 def _policy_overrides(config: dict, algos: list[str]) -> dict:
@@ -177,39 +193,39 @@ def _policy_overrides(config: dict, algos: list[str]) -> dict:
     return overrides
 
 
+def _eval_points(args, config, dialogues: int) -> tuple[int, ...]:
+    """Milestones of a train run: the given points, or else the default
+    points below ``dialogues``; either way they must end at it."""
+    if args.eval_at is not None:
+        points = parse_int_list(args.eval_at, "--eval-at")
+    else:
+        points = config.get("harness", {}).get("eval_at")
+    if points is None:
+        return tuple(p for p in DEFAULT_EVAL_POINTS if p < dialogues) + (
+            dialogues,)
+    return tuple(sorted(points))
+
+
 def cmd_train(args, config) -> int:
-    tasks = _resolve_tasks(_setting(args, config, "task", "task",
-                                    config.get("task", {}).get("name")))
-    algos = _resolve_algos(_setting(args, config, "policy", "algo",
-                                    config.get("policy", {}).get("algorithm")))
+    tasks = _resolve_tasks(_setting(args.task, config, "task", "name"))
+    algos = _resolve_algos(_setting(args.algo, config, "policy", "algorithm"))
     if len(tasks) != 1 or len(algos) != 1:
         raise ConfigError("train runs one task and one algorithm at a time")
     seeds = _resolve_seeds(args, config)
-    dialogues = _setting(args, config, "harness", "dialogues", 10000)
-    eval_at = getattr(args, "eval_at", None)
-    if eval_at is not None:
-        eval_points = parse_int_list(eval_at, "--eval-at")
-    else:
-        eval_points = config.get("harness", {}).get("eval_at",
-                                                    (1000, 4000, 10000))
-        if not isinstance(eval_points, tuple):
-            eval_points = parse_int_list(str(eval_points), "[harness] eval_at")
-    eval_points = tuple(p for p in eval_points if p <= dialogues)
-    if not eval_points:
-        raise ConfigError("no eval point at or below --dialogues")
+    dialogues = _setting(args.dialogues, config, "harness", "dialogues", 10000)
     test_dialogues = _test_dialogues(args, config)
-    out = Path(_setting(args, config, "harness", "out", "runs"))
+    out = Path(_setting(args.out, config, "harness", "out", "runs"))
 
     task = _task_config(tasks[0])
     try:
         spec = RunSpec(tasks[0], algos[0], seeds=seeds,
-                       train_dialogues=int(dialogues),
-                       eval_points=tuple(sorted(eval_points)),
+                       train_dialogues=dialogues,
+                       eval_points=_eval_points(args, config, dialogues),
                        test_dialogues=test_dialogues, out_dir=out)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     result = run_training(spec,
-                          error_params=_error_params(config, task.env_index),
+                          error_params=_error_params(config, task),
                           profile=_profile(config),
                           policy_overrides=_policy_overrides(config, algos))
     for point in spec.eval_points:
@@ -221,16 +237,16 @@ def cmd_train(args, config) -> int:
 
 
 def cmd_eval(args, config) -> int:
-    tasks = _resolve_tasks(_setting(args, config, "task", "task",
-                                    config.get("task", {}).get("name")))
-    algos = _resolve_algos(_setting(args, config, "policy", "algo",
-                                    config.get("policy", {}).get("algorithm")))
+    _refuse_env_sections(config, "eval")
+    _refuse_policy_settings(config, "eval")
+    tasks = _resolve_tasks(_setting(args.task, config, "task", "name"))
+    algos = _resolve_algos(_setting(args.algo, config, "policy", "algorithm"))
     if len(tasks) != 1 or len(algos) != 1:
         raise ConfigError("eval runs one task and one algorithm at a time")
     seeds = _resolve_seeds(args, config)
     test_dialogues = _test_dialogues(args, config)
-    out = Path(_setting(args, config, "harness", "out", "runs"))
-    eval_task = getattr(args, "eval_task", None)
+    out = Path(_setting(args.out, config, "harness", "out", "runs"))
+    eval_task = args.eval_task
     if eval_task is not None and (_task_config(eval_task).domain_code
                                   != _task_config(tasks[0]).domain_code):
         raise ConfigError("--eval-task must be in the domain of --task")
@@ -241,16 +257,14 @@ def cmd_eval(args, config) -> int:
 
 
 def cmd_benchmark(args, config) -> int:
-    raw_task = _setting(args, config, "task", "task",
-                        config.get("task", {}).get("name") or "all")
-    tasks = _resolve_tasks(raw_task)
-    raw_algo = _setting(args, config, "policy", "algo",
-                        config.get("policy", {}).get("algorithm") or "all")
-    algos = _resolve_algos(raw_algo)
+    _refuse_env_sections(config, "benchmark")
+    tasks = _resolve_tasks(_setting(args.task, config, "task", "name", "all"))
+    algos = _resolve_algos(_setting(args.algo, config, "policy", "algorithm",
+                                    "all"))
     seeds = _resolve_seeds(args, config)
-    dialogues = int(_setting(args, config, "harness", "dialogues", 4000))
+    dialogues = _setting(args.dialogues, config, "harness", "dialogues", 4000)
     test_dialogues = _test_dialogues(args, config)
-    out = Path(_setting(args, config, "harness", "out", "runs"))
+    out = Path(_setting(args.out, config, "harness", "out", "runs"))
     path = run_benchmark(algos, tasks, seeds, dialogues, test_dialogues, out,
                          policy_overrides=_policy_overrides(config, algos))
     print(f"results table: {path}")
@@ -258,18 +272,18 @@ def cmd_benchmark(args, config) -> int:
 
 
 def cmd_cross(args, config) -> int:
-    raw_algo = _setting(args, config, "policy", "algo",
-                        config.get("policy", {}).get("algorithm") or "all")
-    algos = _resolve_algos(raw_algo)
-    raw_domains = getattr(args, "domains", None) or "CR,SFR,LAP"
-    domains = _split(raw_domains)
+    _refuse_env_sections(config, "cross")
+    _refuse_policy_settings(config, "cross")
+    algos = _resolve_algos(_setting(args.algo, config, "policy", "algorithm",
+                                    "all"))
+    domains = _split(args.domains or "CR,SFR,LAP")
     for domain in domains:
         if domain not in DOMAIN_CODES:
             raise ConfigError(f"unknown domain {domain!r}; choose from "
                               f"{DOMAIN_CODES}")
     seeds = _resolve_seeds(args, config)
     test_dialogues = _test_dialogues(args, config)
-    out = Path(_setting(args, config, "harness", "out", "runs"))
+    out = Path(_setting(args.out, config, "harness", "out", "runs"))
     path = run_cross_task(out, algos, domains, seeds, test_dialogues)
     print(f"cross matrix: {path}")
     return EXIT_OK

@@ -11,9 +11,10 @@ and the user population:
     5    0.15        on     unfriendly
     6    0.30        on     standard
 
-An episode runs for at most 25 system turns with discount 0.99.  Every
-system turn costs 1; a dialogue that fulfils the user's goal earns a +20
-bonus on its final turn, so the undiscounted return is 20 * success - turns.
+An episode runs for at most 25 system turns.  Every system turn costs 1;
+a dialogue that fulfils the user's goal earns a +20 bonus on its final
+turn, so the undiscounted return is 20 * success - turns.  Each learner
+discounts with its own ``gamma``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ _ENV_ROWS = {
 }
 
 MAX_TURNS = 25
-GAMMA = 0.99
 SUCCESS_REWARD = 20.0
 TURN_PENALTY = 1.0
 
@@ -62,10 +62,6 @@ class TaskConfig:
     ser: float
     masks_enabled: bool
     user_profile: str
-    max_turns: int = MAX_TURNS
-    gamma: float = GAMMA
-    success_reward: float = SUCCESS_REWARD
-    turn_penalty: float = TURN_PENALTY
 
 
 def make_task(task_id: str) -> TaskConfig:
@@ -117,13 +113,8 @@ class EpisodeResult:
     success: bool
     turns: int
     final_reward: float
-    discounted_return: float
     trace: list[TurnRecord]
     goal: UserGoal
-
-
-def compute_return(rewards: list[float], gamma: float = GAMMA) -> float:
-    return float(sum(r * gamma**t for t, r in enumerate(rewards)))
 
 
 class ContractViolation(RuntimeError):
@@ -156,7 +147,6 @@ class DialogueEnv:
         self._done = True
         self._success = False
         self._turns = 0
-        self._rewards: list[float] = []
         self._trace: list[TurnRecord] = []
 
     @property
@@ -179,7 +169,6 @@ class DialogueEnv:
         self._user = SimulatedUser(self.ontology, params, goal, rng)
         self._done = False
         self._turns = 0
-        self._rewards = []
 
         opening = self._user.opening_act(rng)
         nbest = corrupt(opening, self.error_params, self.ontology, rng)
@@ -215,22 +204,18 @@ class DialogueEnv:
                 self._set_belief(update(self._belief, nbest, system_act, self.ontology))
         record = TurnRecord(self._turns, system_act, user_act, nbest,
                             self._belief, action_index, fallback)
-        if nbest is None or self._turns >= self.task.max_turns:
+        if nbest is None or self._turns >= MAX_TURNS:
             return self._end(record)
 
         self._trace.append(record)
-        self._rewards.append(-self.task.turn_penalty)
-        return self._step_result(-self.task.turn_penalty)
+        return self._step_result(-TURN_PENALTY)
 
     def _end(self, record: TurnRecord) -> StepResult:
         """Close the episode on its last turn; success is judged once."""
         self._trace.append(record)
         self._success = is_goal_fulfilled(
             self._user.goal, [t.system_act for t in self._trace], self.ontology)
-        reward = -self.task.turn_penalty + (
-            self.task.success_reward if self._success else 0.0
-        )
-        self._rewards.append(reward)
+        reward = -TURN_PENALTY + (SUCCESS_REWARD if self._success else 0.0)
         self._done = True
         return self._step_result(reward)
 
@@ -240,8 +225,7 @@ class DialogueEnv:
         return EpisodeResult(
             success=self._success,
             turns=self._turns,
-            final_reward=self.task.success_reward * self._success - self._turns,
-            discounted_return=compute_return(self._rewards, self.task.gamma),
+            final_reward=SUCCESS_REWARD * self._success - self._turns,
             trace=self._trace,
             goal=self._user.goal,
         )

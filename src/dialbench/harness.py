@@ -27,6 +27,7 @@ REWARD_MIN = -25.0
 REWARD_MAX = 19.0
 
 ENV_INDICES_CROSS = (1, 3, 6)
+DEFAULT_EVAL_POINTS = (1000, 4000, 10000)
 
 
 class MissingArtifact(Exception):
@@ -39,7 +40,7 @@ class RunSpec:
     algorithm: str
     seeds: tuple[int, ...] = tuple(range(10))
     train_dialogues: int = 10000
-    eval_points: tuple[int, ...] = (1000, 4000, 10000)
+    eval_points: tuple[int, ...] = DEFAULT_EVAL_POINTS
     test_dialogues: int = 500
     out_dir: Path = Path("runs")
 
@@ -51,8 +52,17 @@ class RunSpec:
         points = self.eval_points
         if list(points) != sorted(points) or len(set(points)) != len(points):
             raise ValueError("eval_points must be strictly ascending")
-        if points and points[-1] > self.train_dialogues:
-            raise ValueError("eval_points cannot exceed train_dialogues")
+        if not points:
+            raise ValueError("at least one eval point required")
+        if points[0] < 0:
+            raise ValueError("eval points must not be negative")
+        # the last milestone is the end of training
+        if points[-1] > self.train_dialogues:
+            raise ValueError(f"eval point {points[-1]} exceeds the "
+                             f"{self.train_dialogues} training dialogues")
+        if points[-1] < self.train_dialogues:
+            raise ValueError(f"the eval points end at {points[-1]}, before "
+                             f"the {self.train_dialogues} training dialogues")
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
 
@@ -94,13 +104,14 @@ class TrainResult:
 
 
 def run_episode(env, policy: Policy, rng: np.random.Generator,
-                dialogue_index: int, training: bool, greedy: bool = False):
+                dialogue_index: int, training: bool):
     """Generic loop; works for DialogueEnv and any env with the same
-    reset/step/result surface."""
+    reset/step/result surface.  The policy learns from a training
+    dialogue and acts greedily in any other."""
     policy.begin_dialogue(dialogue_index, training)
     step = env.reset(rng)
     while not step.done:
-        action = policy.act(step.observation, step.mask, rng, greedy=greedy,
+        action = policy.act(step.observation, step.mask, rng,
                             belief=step.belief)
         nxt = env.step(action, rng)
         if training:
@@ -125,7 +136,7 @@ def evaluate(env, policy: Policy, run_seed: int, milestone_index: int,
     for j in range(episodes):
         rng = eval_stream(run_seed, milestone_index, j)
         result = run_episode(env, policy, rng, dialogue_index=0,
-                             training=False, greedy=True)
+                             training=False)
         successes += int(result.success)
         rewards += result.final_reward
     return successes / episodes, rewards / episodes

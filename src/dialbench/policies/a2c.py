@@ -116,7 +116,6 @@ class A2CPolicy(Policy):
                                         self.config.anneal_dialogues)
         self.epsilon = self.config.eps0
         self.episodes: deque[Episode] = deque(maxlen=self.config.window)
-        self._training = False
         self._obs: list[np.ndarray] = []
         self._actions: list[int] = []
         self._masks: list[np.ndarray] = []
@@ -131,15 +130,15 @@ class A2CPolicy(Policy):
         return float(forward(self.net, observation)[-1])
 
     def begin_dialogue(self, dialogue_index: int, training: bool) -> None:
+        super().begin_dialogue(dialogue_index, training)
         self.epsilon = self.schedule.at(dialogue_index)
-        self._training = training
         self._obs, self._actions, self._masks, self._rewards = [], [], [], []
 
     def act(self, observation: np.ndarray, mask: np.ndarray,
-            rng: np.random.Generator, greedy: bool = False,
+            rng: np.random.Generator,
             belief: BeliefState | None = None) -> int:
         out = forward(self.net, observation)
-        if greedy or not self._training:
+        if not self.training:
             return masked_argmax(out[:-1], mask)
         if rng.random() < self.epsilon:
             return uniform_legal(mask, rng)
@@ -147,7 +146,7 @@ class A2CPolicy(Policy):
         return int(rng.choice(self.action_count, p=p / p.sum()))
 
     def observe(self, transition: Transition, rng: np.random.Generator) -> None:
-        if not self._training:
+        if not self.training:
             return
         if transition.mask is None:
             raise ValueError("a2c needs the acting-time mask in transitions")
@@ -157,7 +156,7 @@ class A2CPolicy(Policy):
         self._rewards.append(transition.reward)
 
     def end_dialogue(self, rng: np.random.Generator) -> None:
-        if not self._training or not self._actions:
+        if not self.training or not self._actions:
             return
         obs = np.stack(self._obs)
         actions = np.array(self._actions)

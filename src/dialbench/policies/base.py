@@ -57,24 +57,26 @@ class Policy:
     """Dialogue policy over flattened beliefs and action masks.
 
     ``act`` must be deterministic given (model state, inputs, rng) and must
-    return a legal action.  Training hooks are no-ops by default so fixed
-    policies only implement ``act``.
+    return a legal action.  Outside a training dialogue it acts greedily
+    and draws nothing from ``rng``.  Training hooks are no-ops by default
+    so fixed policies only implement ``act``.
     """
 
     algorithm = "base"
     trains = False
     config = None                      # frozen config dataclass
     ontology: Ontology | None = None   # set by policies bound to a domain
+    training = False                   # mode of the current dialogue
 
     def __init__(self, obs_dim: int, action_count: int):
         self.obs_dim = obs_dim
         self.action_count = action_count
 
     def begin_dialogue(self, dialogue_index: int, training: bool) -> None:
-        pass
+        self.training = training
 
     def act(self, observation: np.ndarray, mask: np.ndarray,
-            rng: np.random.Generator, greedy: bool = False,
+            rng: np.random.Generator,
             belief: BeliefState | None = None) -> int:
         raise NotImplementedError
 
@@ -101,16 +103,6 @@ class Policy:
             "domain": None if self.ontology is None else self.ontology.code,
         }
         save_checkpoint(path, self.algorithm, header, self.state_arrays())
-
-    @classmethod
-    def load(cls, path: str | Path,
-             ontology: Ontology | None = None) -> Policy:
-        """``load_policy``, refusing a checkpoint of another algorithm."""
-        policy = load_policy(path, ontology)
-        if policy.algorithm != cls.algorithm:
-            raise ValueError(f"checkpoint {path} holds {policy.algorithm!r}, "
-                             f"not {cls.algorithm}")
-        return policy
 
 
 def uniform_legal(mask: np.ndarray, rng: np.random.Generator) -> int:

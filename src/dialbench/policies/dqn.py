@@ -70,22 +70,21 @@ class DQNPolicy(Policy):
         self._buffer: list[Transition] = []
         self._write = 0
         self._dialogues = 0
-        self._training = False
 
     def begin_dialogue(self, dialogue_index: int, training: bool) -> None:
+        super().begin_dialogue(dialogue_index, training)
         self.epsilon = self.schedule.at(dialogue_index)
-        self._training = training
 
     def act(self, observation: np.ndarray, mask: np.ndarray,
-            rng: np.random.Generator, greedy: bool = False,
+            rng: np.random.Generator,
             belief: BeliefState | None = None) -> int:
-        if not greedy and self._training and rng.random() < self.epsilon:
+        if self.training and rng.random() < self.epsilon:
             return uniform_legal(mask, rng)
         q = forward(self.q_net, observation)
         return masked_argmax(q, mask)
 
     def observe(self, transition: Transition, rng: np.random.Generator) -> None:
-        if not self._training:
+        if not self.training:
             return
         if len(self._buffer) < self.config.buffer_size:
             self._buffer.append(transition)
@@ -120,7 +119,7 @@ class DQNPolicy(Policy):
         return float(np.mean(err**2))
 
     def end_dialogue(self, rng: np.random.Generator) -> None:
-        if not self._training:
+        if not self.training:
             return
         self._dialogues += 1
         if self._dialogues % self.config.target_sync_dialogues == 0:

@@ -22,7 +22,6 @@ from dialbench.policies.base import (
 )
 from dialbench.rl_core import (
     Net2,
-    forward,
     forward_cache,
     grad_log_prob,
     init_net,
@@ -78,7 +77,6 @@ class ENACPolicy(Policy):
         self.schedule = EpsilonSchedule(self.config.eps0, self.config.eps_final,
                                         self.config.anneal_dialogues)
         self.epsilon = self.config.eps0
-        self._training = False
         self._phi: np.ndarray | None = None
         self._rewards: list[float] = []
         self._batch_phis: list[np.ndarray] = []
@@ -89,17 +87,17 @@ class ENACPolicy(Policy):
         return self.net.theta.size
 
     def begin_dialogue(self, dialogue_index: int, training: bool) -> None:
+        super().begin_dialogue(dialogue_index, training)
         self.epsilon = self.schedule.at(dialogue_index)
-        self._training = training
         self._phi = np.zeros(self.param_count)
         self._rewards = []
 
     def act(self, observation: np.ndarray, mask: np.ndarray,
-            rng: np.random.Generator, greedy: bool = False,
+            rng: np.random.Generator,
             belief: BeliefState | None = None) -> int:
         cache = forward_cache(self.net, observation, mask)
         p = np.atleast_2d(cache.out)[0]
-        if greedy or not self._training:
+        if not self.training:
             return masked_argmax(p, mask)
         if rng.random() < self.epsilon:
             action = uniform_legal(mask, rng)
@@ -111,11 +109,11 @@ class ENACPolicy(Policy):
         return action
 
     def observe(self, transition: Transition, rng: np.random.Generator) -> None:
-        if self._training:
+        if self.training:
             self._rewards.append(transition.reward)
 
     def end_dialogue(self, rng: np.random.Generator) -> None:
-        if not self._training or not self._rewards:
+        if not self.training or not self._rewards:
             return
         gam = self.config.gamma ** np.arange(len(self._rewards))
         self._batch_phis.append(self._phi)

@@ -30,7 +30,6 @@ from dialbench.policies.base import (
     Policy,
     Transition,
     masked_argmax,
-    uniform_legal,
 )
 
 
@@ -207,7 +206,7 @@ class GPSarsaPolicy(Policy):
         return self.blocks[action].posterior(x, float(x @ x))
 
     def act(self, observation: np.ndarray, mask: np.ndarray,
-            rng: np.random.Generator, greedy: bool = False,
+            rng: np.random.Generator,
             belief: BeliefState | None = None) -> int:
         x = np.asarray(observation, dtype=float)
         k_self = float(x @ x)
@@ -216,7 +215,7 @@ class GPSarsaPolicy(Policy):
             if not mask[a]:
                 continue
             mean, var = self.blocks[a].posterior(x, k_self)
-            if greedy:
+            if not self.training:
                 scores[a] = mean
             else:
                 scores[a] = mean + self.config.scale * np.sqrt(var) * rng.standard_normal()

@@ -55,7 +55,7 @@ class HandcraftedPolicy(Policy):
         return self._index[label]
 
     def act(self, observation: np.ndarray, mask: np.ndarray,
-            rng: np.random.Generator, greedy: bool = False,
+            rng: np.random.Generator,
             belief: BeliefState | None = None) -> int:
         if belief is None:
             raise ValueError("the handcrafted policy needs the belief state")

@@ -1,5 +1,5 @@
 """Shared learner plumbing: a small two-hidden-layer net with exact
-backprop, Adam, and the kernel used by the Gaussian-process policy.
+backprop, and Adam.
 
 The net has rectifier hidden layers and either a linear head (values) or a
 softmax head restricted to legal actions (stochastic policies).  Weights
@@ -231,34 +231,3 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
     np.multiply(lr, a, out=a)
     a /= b
     theta -= a
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Linear kernel on the state crossed with a delta kernel on actions."""
-
-    state_kernel: str = "linear"
-    action_kernel: str = "delta"
-
-    def __post_init__(self) -> None:
-        if self.state_kernel != "linear" or self.action_kernel != "delta":
-            raise ValueError("only linear x delta kernels are supported")
-
-
-def kernel_value(spec: KernelSpec, x1: np.ndarray, a1: int,
-                 x2: np.ndarray, a2: int) -> float:
-    if a1 != a2:
-        return 0.0
-    return float(np.dot(x1, x2))
-
-
-def gram(spec: KernelSpec, points: list[tuple[np.ndarray, int]]) -> np.ndarray:
-    """Symmetric positive semi-definite kernel matrix of the points."""
-    n = len(points)
-    if n == 0:
-        return np.zeros((0, 0))
-    states = np.stack([x for x, _ in points])
-    actions = np.array([a for _, a in points])
-    g = states @ states.T
-    same = actions[:, None] == actions[None, :]
-    return np.where(same, g, 0.0)

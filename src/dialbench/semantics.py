@@ -66,9 +66,6 @@ class DialogueAct:
             if value is not None and self.act_type == "request":
                 raise ValueError("request items carry no value")
 
-    def slots(self) -> tuple[str, ...]:
-        return tuple(slot for slot, _ in self.items)
-
     def first_value(self, slot: str) -> str | None:
         for s, v in self.items:
             if s == slot:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dialbench.policies.a2c import A2CConfig, A2CPolicy, Episode, a2c_loss, returns_to_go
-from dialbench.policies.base import Transition, save_checkpoint
+from dialbench.policies.base import Transition, load_policy, save_checkpoint
 from dialbench.rl_core import forward, init_net, masked_softmax
 
 
@@ -159,7 +159,7 @@ def test_greedy_act_is_argmax_of_logits():
     policy = A2CPolicy(3, 4, tiny_config())
     obs = np.array([0.4, -1.0, 0.2])
     mask = np.array([True, False, True, True])
-    a = policy.act(obs, mask, np.random.default_rng(0), greedy=True)
+    a = policy.act(obs, mask, np.random.default_rng(0))
     logits = forward(policy.net, obs)[:-1]
     assert a == int(np.argmax(np.where(mask, logits, -np.inf)))
 
@@ -257,7 +257,7 @@ def test_evaluation_leaves_state_untouched():
     policy.begin_dialogue(0, training=False)
     mask = np.ones(2, dtype=bool)
     obs = np.zeros(2)
-    a = policy.act(obs, mask, rng, greedy=True)
+    a = policy.act(obs, mask, rng)
     policy.observe(transition(obs, a, 5.0, mask), rng)
     policy.end_dialogue(rng)
     assert len(policy.episodes) == 0
@@ -280,7 +280,8 @@ def test_two_armed_bandit_prefers_better_arm():
         policy.observe(transition(obs, a, 1.0 if a == 0 else -1.0, mask, True),
                        rng)
         policy.end_dialogue(rng)
-    assert policy.act(obs, mask, rng, greedy=True) == 0
+    policy.begin_dialogue(0, training=False)
+    assert policy.act(obs, mask, rng) == 0
     assert policy.action_probs(obs, mask)[0] > 0.8
     # the critic converged near the collected mixture's expected reward
     assert -1.0 < policy.value(obs) <= 1.2
@@ -296,7 +297,7 @@ def test_save_load_round_trip(tmp_path):
         run_scripted_dialogue(policy, [-1.0, -1.0, 5.0], rng, index=i)
     path = tmp_path / "a2c.npz"
     policy.save(path)
-    restored = A2CPolicy.load(path)
+    restored = load_policy(path)
     probe = rng.random(4)
     mask = np.array([True, False, True])
     assert np.allclose(restored.action_probs(probe, mask),
@@ -308,4 +309,4 @@ def test_load_rejects_foreign_checkpoint(tmp_path):
     path = tmp_path / "other.npz"
     save_checkpoint(path, "enac", {"obs_dim": 2}, {"w": np.zeros(2)})
     with pytest.raises(ValueError):
-        A2CPolicy.load(path)
+        load_policy(path)

@@ -14,8 +14,6 @@ from dialbench.belief_tracker import (
     init_belief,
     layout_for,
     method_top,
-    slot_top,
-    top_nonnone,
     update,
 )
 from dialbench.domain import DONTCARE, generate_domain
@@ -96,8 +94,8 @@ def test_dontcare_is_trackable(ontology):
     belief = update(belief, nbest_of(inform(slot.name, DONTCARE, 0.9)),
                     DialogueAct("hello"), ontology)
     assert belief.slot_beliefs[slot.name][DONTCARE_IDX] == pytest.approx(0.9)
-    value, prob = top_nonnone(belief, slot.name, ontology)
-    assert value == DONTCARE and prob == pytest.approx(0.9)
+    # dontcare counts as the best entry other than none
+    assert belief.slot_summary.best[1] == pytest.approx(0.9)
 
 
 def test_normalization_under_fuzz(ontology):
@@ -254,18 +252,6 @@ def test_update_does_not_mutate_input(ontology):
            DialogueAct("hello"), ontology)
     for k, v in belief.slot_beliefs.items():
         assert np.array_equal(v, before[k])
-
-
-def test_slot_top_and_top_nonnone(ontology):
-    slot = ontology.constraint_slots[0]
-    value = slot.values[2]
-    belief = init_belief(ontology)
-    belief = update(belief, nbest_of(inform(slot.name, value, 0.4)),
-                    DialogueAct("hello"), ontology)
-    top_name, top_prob = slot_top(belief, slot.name, ontology)
-    assert top_name == "none" and top_prob == pytest.approx(0.6)
-    nn_name, nn_prob = top_nonnone(belief, slot.name, ontology)
-    assert nn_name == value and nn_prob == pytest.approx(0.4)
 
 
 def test_layout_dies_with_its_ontology():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dialbench import bench_cli
+from dialbench import bench_cli, harness
 from dialbench.bench_cli import main
 from dialbench.environment import list_tasks
 from dialbench.policies import load_policy
@@ -99,7 +99,7 @@ def test_eval_points_above_dialogues_exit_2(capsys, tmp_path):
                            "--dialogues", "5", "--eval-at", "100",
                            "--out", str(tmp_path))
     assert code == 2
-    assert "no eval point" in err
+    assert "eval point 100 exceeds the 5 training dialogues" in err
 
 
 def test_train_rejects_task_lists(capsys, tmp_path):
@@ -254,13 +254,117 @@ def test_config_profile_and_errormodel_applied(capsys, tmp_path):
                 "--test-dialogues", "40", "--out", str(out)]
         if with_noise:
             ini = tmp_path / "noise.ini"
-            ini.write_text("[errormodel]\npreset = noisy30\nser = 0.45\n")
+            ini.write_text("[errormodel]\npreset = noisy30\n")
             argv += ["--config", str(ini)]
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         return (out / "curves" / "env1-CR-handcrafted.csv").read_text()
 
     assert run(False) != run(True)
+
+
+def test_errormodel_ser_is_refused(capsys, tmp_path):
+    # the task fixes the error rate; the env would silently replace it
+    ini = tmp_path / "ser.ini"
+    ini.write_text("[errormodel]\nser = 0.45\n")
+    code, _, err = run_cli(capsys, "train", "--task", "env1-CR",
+                           "--algo", "handcrafted", "--seeds", "0",
+                           "--dialogues", "2", "--eval-at", "2",
+                           "--test-dialogues", "2",
+                           "--config", str(ini), "--out", str(tmp_path))
+    assert code == 2
+    assert "ser" in err and "env1-CR" in err and "fixed rate 0.0" in err
+    assert not (tmp_path / "checkpoints").exists()
+
+
+@pytest.mark.parametrize("verb, section", [
+    ("benchmark", "[errormodel]\npreset = noisy30\n"),
+    ("benchmark", "[simuser]\nprofile = unfriendly\n"),
+    ("eval", "[errormodel]\npreset = noisy30\n"),
+    ("eval", "[simuser]\nprofile = unfriendly\n"),
+    ("eval", "[policy]\nalgorithm = handcrafted\nhidden1 = 16\n"),
+    ("cross", "[errormodel]\npreset = noisy30\n"),
+    ("cross", "[simuser]\nprofile = unfriendly\n"),
+    ("cross", "[policy]\nentity_threshold = 2\n"),
+])
+def test_verbs_refuse_sections_they_ignore(capsys, tmp_path, verb, section):
+    for env in (1, 3, 6):
+        code, _, _ = run_cli(capsys, "train", "--task", f"env{env}-CR",
+                             "--algo", "handcrafted", "--seeds", "0",
+                             "--dialogues", "2", "--eval-at", "2",
+                             "--test-dialogues", "2", "--out", str(tmp_path))
+        assert code == 0
+    ini = tmp_path / "run.ini"
+    ini.write_text(section)
+    argv = {"benchmark": ["--task", "env1-CR", "--dialogues", "2"],
+            "eval": ["--task", "env1-CR"],
+            "cross": ["--domains", "CR"]}[verb]
+    code, _, err = run_cli(capsys, verb, *argv, "--algo", "handcrafted",
+                           "--seeds", "0", "--test-dialogues", "2",
+                           "--config", str(ini), "--out", str(tmp_path))
+    assert code == 2
+    assert f"{verb} " in err and "config error" in err
+    assert not (tmp_path / "benchmark.csv").exists()
+
+
+def test_eval_reads_the_policy_algorithm(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, "train", "--task", "env1-CR",
+                         "--algo", "handcrafted", "--seeds", "0",
+                         "--dialogues", "2", "--eval-at", "2",
+                         "--test-dialogues", "2", "--out", str(tmp_path))
+    assert code == 0
+    ini = tmp_path / "run.ini"
+    ini.write_text("[policy]\nalgorithm = handcrafted\n")
+    code, out, _ = run_cli(capsys, "eval", "--task", "env1-CR", "--seeds", "0",
+                           "--test-dialogues", "2", "--config", str(ini),
+                           "--out", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["algorithm"] == "handcrafted"
+
+
+def test_train_dialogues_is_the_last_milestone(capsys, tmp_path, monkeypatch):
+    run_episode = harness.run_episode
+    trained = []
+
+    def counted(env, policy, rng, dialogue_index, training):
+        trained.append(training)
+        return run_episode(env, policy, rng, dialogue_index, training)
+
+    monkeypatch.setattr(harness, "run_episode", counted)
+    code, _, _ = run_cli(capsys, "train", "--task", "env1-CR",
+                         "--algo", "gpsarsa", "--seeds", "0",
+                         "--dialogues", "5", "--test-dialogues", "1",
+                         "--out", str(tmp_path))
+    assert code == 0
+    assert trained.count(True) == 5
+    summary = json.loads(
+        (tmp_path / "summaries/env1-CR-gpsarsa.json").read_text())
+    assert summary["train_dialogues"] == 5
+    assert [p["eval_point"] for p in summary["points"]] == [5]
+
+    # without --eval-at, the default points below N come first
+    code, _, _ = run_cli(capsys, "train", "--task", "env1-CR",
+                         "--algo", "handcrafted", "--seeds", "0",
+                         "--dialogues", "5000", "--test-dialogues", "1",
+                         "--out", str(tmp_path))
+    assert code == 0
+    summary = json.loads(
+        (tmp_path / "summaries/env1-CR-handcrafted.json").read_text())
+    assert [p["eval_point"] for p in summary["points"]] == [1000, 4000, 5000]
+
+    # given points must end at N
+    code, _, err = run_cli(capsys, "train", "--task", "env1-CR",
+                           "--algo", "gpsarsa", "--seeds", "0",
+                           "--dialogues", "5", "--eval-at", "1,2",
+                           "--test-dialogues", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert "eval points end at 2, before the 5 training dialogues" in err
+    code, _, err = run_cli(capsys, "train", "--task", "env1-CR",
+                           "--algo", "gpsarsa", "--seeds", "0",
+                           "--dialogues", "5", "--eval-at", "2,5,8",
+                           "--test-dialogues", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert "eval point 8 exceeds the 5 training dialogues" in err
 
 
 def test_policy_overrides_survive_reload(capsys, tmp_path):

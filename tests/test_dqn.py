@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dialbench
-from dialbench.policies.base import Transition, save_checkpoint
+from dialbench.policies.base import Transition, load_policy, save_checkpoint
 from dialbench.policies.dqn import DQNConfig, DQNPolicy, bellman_targets
 from dialbench.rl_core import forward
 
@@ -81,7 +81,7 @@ def test_greedy_act_is_masked_argmax():
     obs = np.array([0.3, -0.2, 1.0])
     q = forward(policy.q_net, obs)
     mask = np.array([True, True, False, True])
-    a = policy.act(obs, mask, np.random.default_rng(0), greedy=True)
+    a = policy.act(obs, mask, np.random.default_rng(0))
     legal = np.where(mask, q, -np.inf)
     assert a == int(np.argmax(legal))
 
@@ -233,8 +233,9 @@ def test_chain_mdp_learns_greedy_advance():
             else:
                 policy.observe(transition(state, a, -1.0, state, False), rng)
         policy.end_dialogue(rng)
-    assert policy.act(s0, mask, rng, greedy=True) == ADV
-    assert policy.act(s1, mask, rng, greedy=True) == ADV
+    policy.begin_dialogue(0, training=False)
+    assert policy.act(s0, mask, rng) == ADV
+    assert policy.act(s1, mask, rng) == ADV
     q1 = forward(policy.q_net, s1)
     assert q1[ADV] == pytest.approx(10.0, abs=2.0)
 
@@ -252,7 +253,7 @@ def test_save_load_round_trip(tmp_path):
                        rng.random(4), bool(i % 7 == 0), n_actions=3), rng)
     path = tmp_path / "dqn.npz"
     policy.save(path)
-    restored = DQNPolicy.load(path)
+    restored = load_policy(path)
     probe = rng.random(4)
     assert np.allclose(forward(restored.q_net, probe),
                        forward(policy.q_net, probe), atol=1e-12)
@@ -264,7 +265,7 @@ def test_load_rejects_foreign_checkpoint(tmp_path):
     path = tmp_path / "other.npz"
     save_checkpoint(path, "gpsarsa", {"obs_dim": 2}, {"w": np.zeros(2)})
     with pytest.raises(ValueError):
-        DQNPolicy.load(path)
+        load_policy(path)
 
 
 # ------------------------------------------------------------- pinned bytes

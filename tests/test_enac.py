@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dialbench.policies.base import Transition, save_checkpoint
+from dialbench.policies.base import Transition, load_policy, save_checkpoint
 from dialbench.policies.enac import ENACConfig, ENACPolicy, enac_natural_gradient
 from dialbench.rl_core import forward, forward_cache, grad_log_prob, masked_softmax
 
@@ -191,7 +191,8 @@ def test_two_armed_bandit_prefers_better_arm():
         policy.observe(transition(obs, a, 1.0 if a == 0 else -1.0, mask, True),
                        rng)
         policy.end_dialogue(rng)
-    assert policy.act(obs, mask, rng, greedy=True) == 0
+    policy.begin_dialogue(0, training=False)
+    assert policy.act(obs, mask, rng) == 0
     probs = forward(policy.net, obs, mask)
     assert probs[0] > 0.8
 
@@ -206,7 +207,7 @@ def test_save_load_round_trip(tmp_path):
         run_dialogue(policy, [-1.0, 2.0], rng, i)
     path = tmp_path / "enac.npz"
     policy.save(path)
-    restored = ENACPolicy.load(path)
+    restored = load_policy(path)
     probe = rng.random(4)
     mask = np.array([True, True, False])
     assert np.allclose(forward(restored.net, probe, mask),
@@ -218,4 +219,4 @@ def test_load_rejects_foreign_checkpoint(tmp_path):
     path = tmp_path / "other.npz"
     save_checkpoint(path, "a2c", {"obs_dim": 2}, {"w": np.zeros(2)})
     with pytest.raises(ValueError):
-        ENACPolicy.load(path)
+        load_policy(path)

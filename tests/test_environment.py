@@ -11,13 +11,11 @@ from dialbench.action_space import compute_mask
 from dialbench.belief_tracker import flatten
 from dialbench.domain import generate_domain
 from dialbench.environment import (
-    GAMMA,
     MAX_TURNS,
     SUCCESS_REWARD,
     TURN_PENALTY,
     ContractViolation,
     DialogueEnv,
-    compute_return,
     list_tasks,
     make_task,
     write_trace,
@@ -65,11 +63,9 @@ def test_task_catalog_is_complete():
 
 
 def test_task_defaults():
-    cfg = make_task("env4-SFR")
-    assert cfg.max_turns == 25
-    assert cfg.gamma == 0.99
-    assert cfg.success_reward == 20.0
-    assert cfg.turn_penalty == 1.0
+    assert MAX_TURNS == 25
+    assert SUCCESS_REWARD == 20.0
+    assert TURN_PENALTY == 1.0
 
 
 @pytest.mark.parametrize("bad", ["env7-CR", "env0-CR", "env1-XX", "CR", "env1",
@@ -93,15 +89,6 @@ def test_action_count_matches_domain():
 # ---------------------------------------------------------------- rewards
 
 
-def test_compute_return_worked_example():
-    # three turns, success on the last: -1 - 0.99 + 0.9801 * 19
-    assert compute_return([-1.0, -1.0, 19.0]) == pytest.approx(16.6319, abs=1e-9)
-
-
-def test_compute_return_empty():
-    assert compute_return([]) == 0.0
-
-
 def test_reward_identity_random_policy():
     env = DialogueEnv(make_task("env1-CR"))
     rng = np.random.default_rng(7)
@@ -112,9 +99,6 @@ def test_reward_identity_random_policy():
         assert -25.0 <= result.final_reward <= 19.0
         assert 1 <= result.turns <= MAX_TURNS
         # the environment's return matches the rewards it emitted
-        assert result.discounted_return == pytest.approx(
-            compute_return(rewards), abs=1e-9
-        )
         assert sum(rewards) == pytest.approx(result.final_reward)
 
 

@@ -4,7 +4,7 @@ the incremental-inverse identity, and learning on a tiny chain MDP."""
 import numpy as np
 import pytest
 
-from dialbench.policies.base import Transition, save_checkpoint
+from dialbench.policies.base import Transition, load_policy, save_checkpoint
 from dialbench.policies.gpsarsa import (
     GPSarsaConfig,
     GPSarsaPolicy,
@@ -213,7 +213,7 @@ def test_end_dialogue_flushes_pending_without_bootstrap():
 def test_untrained_greedy_tie_breaks_low():
     policy = GPSarsaPolicy(obs_dim=3, action_count=4)
     mask = np.array([False, True, True, True])
-    a = policy.act(np.ones(3), mask, np.random.default_rng(0), greedy=True)
+    a = policy.act(np.ones(3), mask, np.random.default_rng(0))
     assert a == 1
 
 
@@ -221,6 +221,7 @@ def test_exploration_varies_actions():
     policy = GPSarsaPolicy(obs_dim=3, action_count=3)
     rng = np.random.default_rng(5)
     mask = np.ones(3, dtype=bool)
+    policy.begin_dialogue(0, training=True)
     seen = {policy.act(np.ones(3), mask, rng) for _ in range(60)}
     assert len(seen) > 1
 
@@ -233,7 +234,8 @@ def test_chain_mdp_learns_greedy_advance():
     rng = np.random.default_rng(6)
     ADV, STAY = 0, 1
     mask = np.ones(2, dtype=bool)
-    for _ in range(150):
+    for episode in range(150):
+        policy.begin_dialogue(episode, training=True)
         state, name = s0, 0
         for _step in range(12):
             a = policy.act(state, mask, rng)
@@ -247,8 +249,9 @@ def test_chain_mdp_learns_greedy_advance():
             else:
                 policy.observe(transition(state, a, -1.0, state, False, 2), rng)
         policy.end_dialogue(rng)
-    assert policy.act(s0, mask, rng, greedy=True) == ADV
-    assert policy.act(s1, mask, rng, greedy=True) == ADV
+    policy.begin_dialogue(0, training=False)
+    assert policy.act(s0, mask, rng) == ADV
+    assert policy.act(s1, mask, rng) == ADV
     q_adv, _ = policy.q_posterior(s1, ADV)
     q_stay, _ = policy.q_posterior(s1, STAY)
     assert q_adv > q_stay
@@ -266,7 +269,7 @@ def test_save_load_round_trip(tmp_path):
         policy._ingest(rng.random(5), int(rng.integers(3)), float(rng.normal()))
     path = tmp_path / "gp.npz"
     policy.save(path)
-    restored = GPSarsaPolicy.load(path)
+    restored = load_policy(path)
     assert restored.config == config
     assert restored.total_points == policy.total_points
     probe = rng.random(5)
@@ -280,4 +283,4 @@ def test_load_rejects_foreign_checkpoint(tmp_path):
     path = tmp_path / "other.npz"
     save_checkpoint(path, "dqn", {"obs_dim": 2}, {"w": np.zeros(2)})
     with pytest.raises(ValueError):
-        GPSarsaPolicy.load(path)
+        load_policy(path)

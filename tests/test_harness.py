@@ -50,6 +50,12 @@ def test_runspec_validation():
         RunSpec("env1-CR", "dqn", eval_points=(1000, 1000, 4000))
     with pytest.raises(ValueError, match="exceed"):
         RunSpec("env1-CR", "dqn", train_dialogues=500, eval_points=(1000,))
+    with pytest.raises(ValueError, match="before the 500 training"):
+        RunSpec("env1-CR", "dqn", train_dialogues=500, eval_points=(100, 400))
+    with pytest.raises(ValueError, match="at least one eval point"):
+        RunSpec("env1-CR", "dqn", train_dialogues=0, eval_points=())
+    with pytest.raises(ValueError, match="negative"):
+        RunSpec("env1-CR", "dqn", train_dialogues=0, eval_points=(-1, 0))
 
 
 def test_runspec_defaults_match_protocol():
@@ -91,7 +97,7 @@ def test_run_episode_handcrafted():
     env = DialogueEnv(make_task("env1-CR"), ontology=CR)
     policy = HandcraftedPolicy(CR)
     result = run_episode(env, policy, seed_stream(0, TRAIN_STREAM),
-                         dialogue_index=0, training=False, greedy=True)
+                         dialogue_index=0, training=False)
     assert result.final_reward == 20.0 * result.success - result.turns
     assert 1 <= result.turns <= 25
 

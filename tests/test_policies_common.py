@@ -29,6 +29,7 @@ from dialbench.policies import (
     uniform_legal,
 )
 from dialbench.policies import base
+from dialbench.rl_core import forward
 
 
 # ------------------------------------------------------------- schedule
@@ -179,6 +180,40 @@ def test_older_checkpoint_versions_are_refused(tmp_path, monkeypatch):
         load_policy(path)
 
 
+# ------------------------------------------------------------- policy mode
+
+# What each learner maximizes when it acts greedily.
+GREEDY_VALUES = {
+    "gpsarsa": lambda p, obs, mask: np.array(
+        [p.q_posterior(obs, a)[0] for a in range(p.action_count)]),
+    "dqn": lambda p, obs, mask: forward(p.q_net, obs),
+    "a2c": lambda p, obs, mask: forward(p.net, obs)[:-1],
+    "enac": lambda p, obs, mask: forward(p.net, obs, mask),
+}
+
+
+@pytest.mark.parametrize("algorithm", list(GREEDY_VALUES))
+def test_non_training_dialogue_is_greedy(algorithm):
+    policy = make_policy(algorithm, 4, 5, init_rng=np.random.default_rng(3))
+    data = np.random.default_rng(4)
+    if algorithm == "gpsarsa":
+        for _ in range(30):
+            policy._ingest(data.normal(size=4), int(data.integers(5)),
+                           float(data.normal()))
+    policy.begin_dialogue(7, training=True)
+    policy.begin_dialogue(0, training=False)
+    for seed in range(20):
+        obs = data.normal(size=4)
+        mask = data.random(5) < 0.6
+        mask[data.integers(5)] = True
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        action = policy.act(obs, mask, rng)
+        values = GREEDY_VALUES[algorithm](policy, obs, mask)
+        assert action == masked_argmax(values, mask)
+        assert rng.bit_generator.state == state
+
+
 # ------------------------------------------------------------- corridor MDP
 
 
@@ -240,7 +275,7 @@ def greedy_corridor_return(policy, seed=999):
     obs = env.reset()
     total = 0.0
     for _ in range(12):
-        a = policy.act(obs, mask, rng, greedy=True)
+        a = policy.act(obs, mask, rng)
         obs, reward, done = env.step(a)
         total += reward
         if done:

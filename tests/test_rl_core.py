@@ -1,11 +1,10 @@
-"""Net, backprop, Adam, and kernel plumbing shared by the learners."""
+"""Net, backprop and Adam plumbing shared by the learners."""
 
 import numpy as np
 import pytest
 
 from dialbench.policies import DQNConfig, DQNPolicy
 from dialbench.rl_core import (
-    KernelSpec,
     Net2,
     adam_init,
     adam_step,
@@ -13,9 +12,7 @@ from dialbench.rl_core import (
     forward,
     forward_cache,
     grad_log_prob,
-    gram,
     init_net,
-    kernel_value,
     masked_softmax,
 )
 
@@ -321,42 +318,3 @@ def test_net_copy_is_independent():
     clone.w1 += 1.0
     assert not np.array_equal(net.w1, clone.w1)
     assert clone.head == net.head
-
-
-# ---------------------------------------------------------------- kernel
-
-
-def test_kernel_value_delta_on_actions():
-    spec = KernelSpec()
-    x1 = np.array([1.0, 2.0, 0.0])
-    x2 = np.array([0.5, -1.0, 4.0])
-    assert kernel_value(spec, x1, 0, x2, 1) == 0.0
-    assert kernel_value(spec, x1, 3, x2, 3) == pytest.approx(-1.5)
-
-
-def test_gram_matches_pairwise_kernel():
-    spec = KernelSpec()
-    rng = np.random.default_rng(12)
-    pts = [(rng.random(4), int(rng.integers(0, 3))) for _ in range(12)]
-    g = gram(spec, pts)
-    for i, (xi, ai) in enumerate(pts):
-        for j, (xj, aj) in enumerate(pts):
-            assert g[i, j] == pytest.approx(kernel_value(spec, xi, ai, xj, aj))
-
-
-def test_gram_is_symmetric_psd():
-    spec = KernelSpec()
-    rng = np.random.default_rng(13)
-    pts = [(rng.random(6), int(rng.integers(0, 4))) for _ in range(30)]
-    g = gram(spec, pts)
-    assert np.allclose(g, g.T)
-    assert np.linalg.eigvalsh(g).min() >= -1e-9
-
-
-def test_gram_empty():
-    assert gram(KernelSpec(), []).shape == (0, 0)
-
-
-def test_kernel_spec_rejects_other_kernels():
-    with pytest.raises(ValueError):
-        KernelSpec(state_kernel="rbf")

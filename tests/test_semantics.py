@@ -27,7 +27,7 @@ def test_no_item_acts_take_no_items():
 
 def test_request_items_are_valueless():
     act = DialogueAct("request", (("food", None),))
-    assert act.slots() == ("food",)
+    assert act.items == (("food", None),)
     with pytest.raises(ValueError):
         DialogueAct("request", (("food", "thai"),))
 

@@ -535,7 +535,7 @@ def test_fulfillment_oracle_matches_live_state(ontology):
                          env.action_count, ontology=env.ontology)
     for i in range(400):
         rng = np.random.default_rng(5000 + i)
-        result = run_episode(env, policy, rng, i, training=False, greedy=True)
+        result = run_episode(env, policy, rng, i, training=False)
         live = env._user.fulfilled()
         oracle = is_goal_fulfilled(env._user.goal,
                                    [t.system_act for t in result.trace],

@@ -25,7 +25,6 @@ from dialbench.belief_tracker import (
     BeliefState,
     layout_for,
     method_top,
-    top_nonnone,
 )
 from dialbench.domain import generate_domain, query
 from dialbench.environment import DialogueEnv, make_task
@@ -75,14 +74,15 @@ def reference_candidates(policy, belief):
     if method_top(belief) == "byalternatives":
         yield policy._idx("inform_alternatives")
     for slot in ontology.constraint_slots:
-        _, prob = top_nonnone(belief, slot.name, ontology)
+        # best entry other than none; dontcare counts as an entry
+        prob = float(belief.slot_beliefs[slot.name][DONTCARE_IDX:].max())
         if CONFIRM_LOW <= prob < CONFIRM_HIGH:
             yield policy._idx("confirm", slot.name)
             break
     unknown = []
     for slot in ontology.constraint_slots:
         dist = belief.slot_beliefs[slot.name]
-        _, prob = top_nonnone(belief, slot.name, ontology)
+        prob = float(dist[DONTCARE_IDX:].max())
         if int(np.argmax(dist)) == NONE_IDX or prob < CONFIRM_LOW:
             unknown.append((prob, slot.name))
     if unknown:
