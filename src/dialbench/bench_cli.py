@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from dialbench.config import ConfigError, load_config, parse_int_list
+from dialbench.config import ConfigError, check_type, load_config, parse_int_list
 from dialbench.domain import DOMAIN_CODES
 from dialbench.environment import TaskConfig, list_tasks, make_task
 from dialbench.error_channel import PRESETS, params_with, preset_for_env
@@ -41,11 +41,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="benchmark suite for RL dialogue management")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_algo: bool = True):
-        p.add_argument("--task", help="task id such as env1-CR, or a comma "
-                                      "list; 'all' for every task")
-        if needs_algo:
-            p.add_argument("--algo", help="algorithm name or comma list")
+    def common(p: argparse.ArgumentParser, needs_task: bool = True):
+        if needs_task:
+            p.add_argument("--task", help="task id such as env1-CR, or a "
+                                          "comma list; 'all' for every task")
+        p.add_argument("--algo", help="algorithm name or comma list")
         p.add_argument("--seeds", help="comma list of run seeds")
         p.add_argument("--config", help="INI settings file")
         p.add_argument("--out", help="output directory")
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cross = sub.add_parser("cross", help="cross-environment reward matrix "
                                          "from saved checkpoints")
-    common(cross)
+    common(cross, needs_task=False)
     cross.add_argument("--domains", help="comma list of domain codes")
 
     sub.add_parser("list-tasks", help="print the 18 task ids")
@@ -147,7 +147,7 @@ def _error_params(config: dict, task: TaskConfig):
     base = PRESETS[preset] if preset else preset_for_env(task.env_index)
     try:
         return params_with(base, **section)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad [errormodel] override: {exc}") from exc
 
 
@@ -156,12 +156,20 @@ def _profile(config: dict):
     return PROFILES[name] if name else None
 
 
-def _refuse_env_sections(config: dict, verb: str) -> None:
-    """Only train builds its env from ``[errormodel]`` and ``[simuser]``."""
-    for section in ("errormodel", "simuser"):
+# Sections only train reads: it alone builds its env from them.
+_TRAIN_ONLY = ("errormodel", "simuser")
+
+
+def _refuse_unread(config: dict, verb: str, sections: tuple[str, ...],
+                   harness_keys: tuple[str, ...]) -> None:
+    """Settings ``verb`` would ignore exit 2 instead: whole sections, and
+    single ``[harness]`` keys."""
+    for section in sections:
         if config.get(section):
-            raise ConfigError(f"{verb} does not read [{section}]; "
-                              f"only train applies it")
+            raise ConfigError(f"{verb} does not read [{section}]")
+    for key in harness_keys:
+        if key in config.get("harness", {}):
+            raise ConfigError(f"{verb} does not read [harness] {key}")
 
 
 def _refuse_policy_settings(config: dict, verb: str) -> None:
@@ -185,11 +193,7 @@ def _policy_overrides(config: dict, algos: list[str]) -> dict:
             if key not in fields:
                 raise ConfigError(f"[policy] key {key!r} is not a setting of "
                                   f"{algo}; choose from {sorted(fields)}")
-            kind = fields[key]
-            accepted = (int, float) if kind is float else (kind,)
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ConfigError(f"[policy] key {key!r} of {algo} must be "
-                                  f"{kind.__name__}, got {value!r}")
+            check_type(f"[policy] key {key!r} of {algo}", value, fields[key])
     return overrides
 
 
@@ -237,7 +241,7 @@ def cmd_train(args, config) -> int:
 
 
 def cmd_eval(args, config) -> int:
-    _refuse_env_sections(config, "eval")
+    _refuse_unread(config, "eval", _TRAIN_ONLY, ("dialogues", "eval_at"))
     _refuse_policy_settings(config, "eval")
     tasks = _resolve_tasks(_setting(args.task, config, "task", "name"))
     algos = _resolve_algos(_setting(args.algo, config, "policy", "algorithm"))
@@ -257,7 +261,7 @@ def cmd_eval(args, config) -> int:
 
 
 def cmd_benchmark(args, config) -> int:
-    _refuse_env_sections(config, "benchmark")
+    _refuse_unread(config, "benchmark", _TRAIN_ONLY, ("eval_at",))
     tasks = _resolve_tasks(_setting(args.task, config, "task", "name", "all"))
     algos = _resolve_algos(_setting(args.algo, config, "policy", "algorithm",
                                     "all"))
@@ -272,7 +276,8 @@ def cmd_benchmark(args, config) -> int:
 
 
 def cmd_cross(args, config) -> int:
-    _refuse_env_sections(config, "cross")
+    _refuse_unread(config, "cross", ("task",) + _TRAIN_ONLY,
+                   ("dialogues", "eval_at"))
     _refuse_policy_settings(config, "cross")
     algos = _resolve_algos(_setting(args.algo, config, "policy", "algorithm",
                                     "all"))

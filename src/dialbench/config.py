@@ -14,6 +14,7 @@ Anything the file leaves out falls back to CLI flags or defaults.
 from __future__ import annotations
 
 import configparser
+import typing
 from pathlib import Path
 
 from dialbench import error_channel, simulated_user
@@ -40,6 +41,14 @@ def coerce(text: str):
     return text.strip()
 
 
+def check_type(what: str, value, kind: type) -> None:
+    """``value`` must be of ``kind``; an int also serves for a float
+    setting, and a bool serves for neither."""
+    accepted = (int, float) if kind is float else (kind,)
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}")
+
+
 def parse_int_list(text: str, label: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in str(text).split(",") if part.strip())
@@ -64,7 +73,9 @@ def load_config(path: str | Path) -> dict[str, dict]:
     for section in parser.sections():
         if section not in SECTIONS:
             raise ConfigError(f"unknown section [{section}] in {path}")
-        out[section] = {k: coerce(v) for k, v in parser.items(section)}
+        # an output directory is a name, whatever it looks like
+        out[section] = {k: v.strip() if (section, k) == ("harness", "out")
+                        else coerce(v) for k, v in parser.items(section)}
 
     _validate(out, path)
     return out
@@ -85,6 +96,7 @@ def _validate(config: dict[str, dict], path: Path) -> None:
                               f"{sorted(simulated_user.PROFILES)}")
 
     err = config.get("errormodel", {})
+    kinds = typing.get_type_hints(error_channel.ErrorParams)
     for key, value in err.items():
         if key == "preset":
             if value not in error_channel.PRESETS:
@@ -92,6 +104,8 @@ def _validate(config: dict[str, dict], path: Path) -> None:
                                   f"{sorted(error_channel.PRESETS)}")
         elif key not in error_channel.PARAM_NAMES:
             raise ConfigError(f"[errormodel] has no field {key!r}")
+        else:
+            check_type(f"[errormodel] key {key!r}", value, kinds[key])
 
     harness = config.get("harness", {})
     for key in harness:

@@ -19,11 +19,11 @@ import numpy as np
 
 from dialbench.domain import DONTCARE, Ontology
 from dialbench.semantics import (
+    ACT_TYPES,
     NO_ITEM_ACTS,
     DialogueAct,
     NBestList,
     ScoredHypothesis,
-    serialize_act,
 )
 
 # Act types a corrupted hypothesis may be rewritten into.
@@ -95,28 +95,35 @@ class ErrorParams:
             raise ValueError("confusion kernel weights must sum to 1")
         raw_weights = (self.len_w1, self.len_w2, self.len_w3,
                        self.len_w4, self.len_w5)
-        if any(w < 0 for w in raw_weights) or sum(raw_weights) <= 0:
+        raw = np.array(raw_weights)[: self.nbest_max]
+        if any(w < 0 for w in raw_weights) or raw.sum() <= 0:
             raise ValueError("length weights must be non-negative with "
-                             "positive mass")
+                             "positive mass within nbest_max")
+        # The fields are frozen, so each draw table is built once here.
+        object.__setattr__(self, "_length_cdf", _cdf(raw / raw.sum()))
+        object.__setattr__(self, "_acttype_tables", {
+            exclude: self._acttype_table(exclude) for exclude in ACT_TYPES})
 
-    def _length_weights(self) -> np.ndarray:
-        raw = np.array(
-            [self.len_w1, self.len_w2, self.len_w3, self.len_w4, self.len_w5]
-        )
-        raw = raw[: self.nbest_max]
-        return raw / raw.sum()
-
-    def _acttype_weights(self, exclude: str) -> tuple[list[str], np.ndarray]:
-        names, weights = [], []
-        for target in _CONFUSION_TARGETS:
-            if target == exclude:
-                continue
-            names.append(target)
-            weights.append(getattr(self, f"w_conf_{target}"))
-        arr = np.array(weights, dtype=float)
+    def _acttype_table(self, exclude: str) -> tuple[tuple[str, ...], np.ndarray]:
+        names = tuple(t for t in _CONFUSION_TARGETS if t != exclude)
+        arr = np.array([getattr(self, f"w_conf_{t}") for t in names],
+                       dtype=float)
         if arr.sum() <= 0:
             arr = np.ones_like(arr)
-        return names, arr / arr.sum()
+        return names, _cdf(arr / arr.sum())
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The table ``Generator.choice(len(p), p=p)`` searches."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """The index ``choice`` draws from this table, with the same one
+    uniform draw, so the stream is left in the same state."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 PARAM_NAMES = tuple(f.name for f in fields(ErrorParams))
@@ -156,36 +163,57 @@ def params_with(base: ErrorParams, **overrides: float) -> ErrorParams:
     return replace(base, **overrides)
 
 
-def _weighted_choice(options: list, concentration: float, rng: np.random.Generator):
-    """Pick from options; concentration > 0 biases toward earlier entries."""
-    if not options:
+def _weighted_index(n: int, concentration: float,
+                    rng: np.random.Generator) -> int | None:
+    """Index into n options; concentration > 0 biases toward earlier ones."""
+    if n == 0:
         return None
     if concentration <= 0.0:
-        return options[int(rng.integers(len(options)))]
-    weights = np.exp(-concentration * np.arange(len(options)))
-    weights /= weights.sum()
-    return options[int(rng.choice(len(options), p=weights))]
+        return int(rng.integers(n))
+    weights = np.exp(-concentration * np.arange(n))
+    return _draw(_cdf(weights / weights.sum()), rng)
+
+
+def _weighted_choice(options, concentration: float, rng: np.random.Generator):
+    i = _weighted_index(len(options), concentration, rng)
+    return None if i is None else options[i]
 
 
 def _random_constraint_item(ontology: Ontology, rng: np.random.Generator,
                             concentration: float = 0.0) -> tuple[str, str]:
     slot = ontology.constraint_slots[int(rng.integers(ontology.n_constraint))]
-    value = _weighted_choice(list(slot.values), concentration, rng)
+    value = _weighted_choice(slot.values, concentration, rng)
     return slot.name, value
+
+
+def _value_tables(ontology: Ontology) -> dict:
+    """Per slot, the values a confusion picks from (the slot's values, then
+    DONTCARE; the entity ids for ``name``) and each one's position, stored
+    on the ontology as the belief layout is."""
+    found = ontology.derived.get("confusable_values")
+    if found is None:
+        options = {s.name: s.values + (DONTCARE,) for s in ontology.slots}
+        options["name"] = tuple(e.id for e in ontology.entities)
+        found = ontology.derived["confusable_values"] = {
+            name: (values, {v: i for i, v in enumerate(values)})
+            for name, values in options.items()}
+    return found
 
 
 def _confuse_value(item: tuple[str, str], ontology: Ontology,
                    params: ErrorParams, rng: np.random.Generator) -> tuple[str, str]:
+    """A different value of the item's slot, drawn as from the list of its
+    options without the current value."""
     slot_name, value = item
-    if slot_name == "name":
-        pool = [e.id for e in ontology.entities if e.id != value]
-    else:
-        slot = ontology.slot_by_name.get(slot_name)
-        pool = [v for v in slot.values if v != value] if slot else []
-        if value != DONTCARE:
-            pool.append(DONTCARE)
-    new_value = _weighted_choice(pool, params.value_conf_concentration, rng)
-    return (slot_name, new_value if new_value is not None else value)
+    options, position = _value_tables(ontology)[slot_name]
+    skip = position.get(value)
+    n = len(options) if skip is None else len(options) - 1
+    i = _weighted_index(n, params.value_conf_concentration, rng)
+    if i is None:
+        return item
+    if skip is not None and i >= skip:
+        i += 1
+    return (slot_name, options[i])
 
 
 def _confuse_slot(item: tuple[str, str], ontology: Ontology,
@@ -202,8 +230,8 @@ def _confuse_slot(item: tuple[str, str], ontology: Ontology,
 
 def _confuse_acttype(act: DialogueAct, ontology: Ontology, params: ErrorParams,
                      rng: np.random.Generator) -> DialogueAct:
-    names, weights = params._acttype_weights(exclude=act.act_type)
-    target = names[int(rng.choice(len(names), p=weights))]
+    names, cdf = params._acttype_tables[act.act_type]
+    target = names[_draw(cdf, rng)]
     if target in NO_ITEM_ACTS:
         return DialogueAct(target)
     valued = [(s, v) for s, v in act.items if v is not None and s != "name"]
@@ -228,7 +256,7 @@ def _confuse(act: DialogueAct, ontology: Ontology, params: ErrorParams,
     """One corruption of act, guaranteed to differ from it."""
     for _ in range(8):
         candidate = _confuse_once(act, ontology, params, rng)
-        if serialize_act(candidate) != serialize_act(act):
+        if candidate != act:
             return candidate
     # Extremely defensive: flip to null(), or to hello() when act is null.
     return DialogueAct("null" if act.act_type != "null" else "hello")
@@ -310,14 +338,14 @@ def corrupt(act: DialogueAct, params: ErrorParams, ontology: Ontology,
         w_top = rng.beta(params.conf_correct_a, params.conf_correct_b)
     w_top = max(w_top, 1e-6)
 
-    weights = params._length_weights()
-    length = 1 + int(rng.choice(len(weights), p=weights))
+    length = 1 + _draw(params._length_cdf, rng)
 
-    seen = {serialize_act(top_act)}
+    # acts compare by value: equal acts are exactly those with equal text
+    seen = {top_act}
     tail: list[tuple[DialogueAct, float]] = []
 
     if corrupted and length > 1 and rng.random() < params.p_true_in_nbest:
-        if serialize_act(act) not in seen:
+        if act not in seen:
             decay = min(max(params.true_pos_decay, 0.0), 1.0)
             depth = 0
             while depth < length - 2 and rng.random() < decay:
@@ -325,7 +353,7 @@ def corrupt(act: DialogueAct, params: ErrorParams, ontology: Ontology,
             raw = rng.beta(params.conf_buried_a, params.conf_buried_b)
             raw *= params.tail_decay ** depth
             tail.append((act, min(raw, 0.999 * w_top)))
-            seen.add(serialize_act(act))
+            seen.add(act)
 
     position = len(tail)
     attempts = 0
@@ -336,10 +364,9 @@ def corrupt(act: DialogueAct, params: ErrorParams, ontology: Ontology,
         ) else act
         candidate = _confuse(source, ontology, params, rng)
         position += 1
-        key = serialize_act(candidate)
-        if key in seen:
+        if candidate in seen:
             continue
-        seen.add(key)
+        seen.add(candidate)
         # tails are absolute scores clipped under the top, so a weak top
         # yields a flat list rather than a proportionally shrunken one
         raw = rng.beta(params.conf_tail_a, params.conf_tail_b)
@@ -359,4 +386,4 @@ def corrupt(act: DialogueAct, params: ErrorParams, ontology: Ontology,
 def is_corrupted(nbest: NBestList, true_act: DialogueAct) -> bool:
     """True when the channel altered the top hypothesis."""
     top = nbest.top
-    return top is None or serialize_act(top.act) != serialize_act(true_act)
+    return top is None or top.act != true_act

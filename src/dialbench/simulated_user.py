@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from dialbench.domain import DONTCARE, Entity, Ontology, query
-from dialbench.semantics import DialogueAct, serialize_act
+from dialbench.semantics import DialogueAct
 
 _SYSTEM_INFORM_ACTS = frozenset(
     {"inform", "inform_byname", "inform_alternatives", "inform_requested"}
@@ -362,9 +362,7 @@ class SimulatedUser:
         return act
 
     def _unhelpful(self, system_act: DialogueAct) -> bool:
-        if self.last_system is not None and serialize_act(
-            system_act
-        ) == serialize_act(self.last_system):
+        if system_act == self.last_system:
             return True
         if system_act.act_type == "request" and system_act.items:
             slot = system_act.items[0][0]

@@ -307,6 +307,52 @@ def test_verbs_refuse_sections_they_ignore(capsys, tmp_path, verb, section):
     assert not (tmp_path / "benchmark.csv").exists()
 
 
+@pytest.mark.parametrize("verb, setting, named", [
+    ("benchmark", "[harness]\neval_at = 1,2\n", "[harness] eval_at"),
+    ("eval", "[harness]\ndialogues = 5\n", "[harness] dialogues"),
+    ("eval", "[harness]\neval_at = 2\n", "[harness] eval_at"),
+    ("cross", "[harness]\ndialogues = 5\n", "[harness] dialogues"),
+    ("cross", "[harness]\neval_at = 2\n", "[harness] eval_at"),
+    ("cross", "[task]\nname = env1-CR\n", "[task]"),
+])
+def test_verbs_refuse_settings_they_ignore(capsys, tmp_path, verb, setting,
+                                           named):
+    ini = tmp_path / "run.ini"
+    ini.write_text(setting)
+    argv = {"benchmark": ["--task", "env1-CR", "--dialogues", "2"],
+            "eval": ["--task", "env1-CR"],
+            "cross": ["--domains", "CR"]}[verb]
+    code, _, err = run_cli(capsys, verb, *argv, "--algo", "handcrafted",
+                           "--seeds", "0", "--test-dialogues", "2",
+                           "--config", str(ini), "--out", str(tmp_path))
+    assert code == 2
+    assert f"{verb} does not read {named}" in err
+    assert not (tmp_path / "benchmark.csv").exists()
+
+
+def test_cross_takes_no_task_flag(capsys, tmp_path):
+    # cross tests every task of each --domains domain
+    with pytest.raises(SystemExit) as exc:
+        main(["cross", "--task", "env9-XX", "--algo", "handcrafted",
+              "--domains", "CR", "--seeds", "0", "--test-dialogues", "1",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--task" in capsys.readouterr().err
+    assert not (tmp_path / "cross.csv").exists()
+
+
+def test_numeric_out_is_a_directory_name(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ini = tmp_path / "out.ini"
+    ini.write_text("[harness]\nout = 123\n")
+    code, _, _ = run_cli(capsys, "train", "--task", "env1-CR",
+                         "--algo", "handcrafted", "--seeds", "0",
+                         "--dialogues", "2", "--eval-at", "2",
+                         "--test-dialogues", "1", "--config", str(ini))
+    assert code == 0
+    assert (tmp_path / "123/curves/env1-CR-handcrafted.csv").exists()
+
+
 def test_eval_reads_the_policy_algorithm(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "train", "--task", "env1-CR",
                          "--algo", "handcrafted", "--seeds", "0",
@@ -415,6 +461,27 @@ def test_policy_value_of_the_wrong_type_exits_2(capsys, tmp_path):
         assert not (tmp_path / "checkpoints").exists()
     # an integer serves for a float field
     ini.write_text("[policy]\nlr = 1\nhidden1 = 4\nhidden2 = 4\n")
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+
+def test_errormodel_value_of_the_wrong_type_exits_2(capsys, tmp_path):
+    ini = tmp_path / "bad.ini"
+    argv = ("train", "--task", "env3-CR", "--algo", "handcrafted",
+            "--seeds", "0", "--dialogues", "2", "--eval-at", "2",
+            "--test-dialogues", "2", "--config", str(ini),
+            "--out", str(tmp_path))
+    for bad in ("nbest_max = 2.5", "nbest_max = true", "p_drop_item = abc",
+                "tail_decay = no"):
+        ini.write_text(f"[errormodel]\n{bad}\n")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, bad
+        key = bad.split()[0]
+        kind = "int" if key == "nbest_max" else "float"
+        assert "config error" in err and f"'{key}'" in err and kind in err
+        assert not (tmp_path / "checkpoints").exists()
+    # an integer serves for a float field
+    ini.write_text("[errormodel]\nnbest_max = 3\np_drop_item = 0\n")
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
 

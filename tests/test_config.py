@@ -132,3 +132,18 @@ def test_parse_int_list():
         parse_int_list("", "x")
     with pytest.raises(ConfigError):
         parse_int_list("a,b", "x")
+
+
+def test_harness_out_stays_text(tmp_path):
+    for text in ("123", "1.50", "yes"):
+        cfg = load_config(write(tmp_path, f"[harness]\nout = {text}\n"))
+        assert cfg["harness"]["out"] == text
+
+
+def test_errormodel_values_are_type_checked(tmp_path):
+    with pytest.raises(ConfigError, match="'nbest_max' must be int"):
+        load_config(write(tmp_path, "[errormodel]\nnbest_max = 2.5\n"))
+    with pytest.raises(ConfigError, match="'p_add_item' must be float"):
+        load_config(write(tmp_path, "[errormodel]\np_add_item = on\n"))
+    cfg = load_config(write(tmp_path, "[errormodel]\np_add_item = 1\n"))
+    assert cfg["errormodel"]["p_add_item"] == 1
