@@ -125,7 +125,18 @@ def _resolve_seeds(args, config) -> tuple[int, ...]:
         seeds = config.get("harness", {}).get("seeds", tuple(range(10)))
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
+    for seed in seeds:
+        if not 0 <= seed < 1 << 128:      # a seed is a 128-bit Philox key
+            raise ConfigError(f"seeds must lie in 0 .. 2**128 - 1, got {seed}")
     return seeds
+
+
+def _dialogues(args, config, default: int) -> int:
+    value = _setting(args.dialogues, config, "harness", "dialogues", default)
+    if value < 0:
+        raise ConfigError(f"training dialogues must not be negative, "
+                          f"got {value}")
+    return value
 
 
 def _test_dialogues(args, config) -> int:
@@ -216,7 +227,7 @@ def cmd_train(args, config) -> int:
     if len(tasks) != 1 or len(algos) != 1:
         raise ConfigError("train runs one task and one algorithm at a time")
     seeds = _resolve_seeds(args, config)
-    dialogues = _setting(args.dialogues, config, "harness", "dialogues", 10000)
+    dialogues = _dialogues(args, config, 10000)
     test_dialogues = _test_dialogues(args, config)
     out = Path(_setting(args.out, config, "harness", "out", "runs"))
 
@@ -266,7 +277,7 @@ def cmd_benchmark(args, config) -> int:
     algos = _resolve_algos(_setting(args.algo, config, "policy", "algorithm",
                                     "all"))
     seeds = _resolve_seeds(args, config)
-    dialogues = _setting(args.dialogues, config, "harness", "dialogues", 4000)
+    dialogues = _dialogues(args, config, 4000)
     test_dialogues = _test_dialogues(args, config)
     out = Path(_setting(args.out, config, "harness", "out", "runs"))
     path = run_benchmark(algos, tasks, seeds, dialogues, test_dialogues, out,

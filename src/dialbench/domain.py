@@ -13,8 +13,7 @@ LAP   11                 21            257                 120
 
 Constraint slots are the ones a user may restrict when searching; they are
 a prefix of the requestable slots, so anything you can constrain you can
-also ask back.  The slot/value identifiers are synthetic.  For CR a small
-alias table maps the constraint slots onto familiar names for display.
+also ask back.  The slot/value identifiers are synthetic.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ DOMAIN_CODES = ("CR", "SFR", "LAP")
 # Reserved value a user may supply for a constraint slot they have no
 # preference about.  It is never part of an ontology value list.
 DONTCARE = "dontcare"
-
-# Display aliases for the CR constraint slots.
-CR_SLOT_ALIASES = {"slot00": "food", "slot01": "area", "slot02": "pricerange"}
 
 # Per-domain value-count layout: (constraint slots, further requestable
 # slots).  The totals are fixed by the table above; how they split across
@@ -55,7 +51,7 @@ _EXPECTED_COUNTS = {
     "LAP": (11, 21, 257),
 }
 
-_DEFAULT_SEEDS = {"CR": 11, "SFR": 12, "LAP": 13}
+_DOMAIN_SEEDS = {"CR": 11, "SFR": 12, "LAP": 13}
 
 
 class ConfigurationError(ValueError):
@@ -136,16 +132,11 @@ class Ontology:
         return (self.n_constraint, self.n_requestable, self.total_requestable_values)
 
 
-def generate_domain(code: str, seed: int | None = None, n_entities: int | None = None) -> Ontology:
-    """Build one of the standard domains deterministically from a seed."""
+def generate_domain(code: str) -> Ontology:
+    """Build one of the standard domains deterministically from its
+    fixed seed."""
     if code not in DOMAIN_CODES:
         raise ConfigurationError(f"unknown domain code {code!r}")
-    if seed is None:
-        seed = _DEFAULT_SEEDS[code]
-    if n_entities is None:
-        n_entities = _ENTITY_COUNTS[code]
-    if n_entities < 1:
-        raise ConfigurationError("n_entities must be positive")
 
     constraint_counts, extra_counts = _VALUE_SPLITS[code]
     slots = []
@@ -159,9 +150,9 @@ def generate_domain(code: str, seed: int | None = None, n_entities: int | None =
             )
         )
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_DOMAIN_SEEDS[code])
     entities = []
-    for k in range(n_entities):
+    for k in range(_ENTITY_COUNTS[code]):
         attrs = {
             slot.name: slot.values[int(rng.integers(len(slot.values)))]
             for slot in slots

@@ -15,8 +15,7 @@ import numpy as np
 
 from dialbench.belief_tracker import BeliefState
 from dialbench.policies.base import (
-    EpsilonSchedule,
-    Policy,
+    NetLearner,
     Transition,
     masked_argmax,
     uniform_legal,
@@ -28,7 +27,6 @@ from dialbench.rl_core import (
     backward,
     forward,
     forward_cache,
-    init_net,
     masked_softmax,
 )
 
@@ -79,7 +77,7 @@ def a2c_loss(net: Net2, obs: np.ndarray, actions: np.ndarray,
     n = len(actions)
     rows = np.arange(n)
     cache = forward_cache(net, obs)
-    out = np.atleast_2d(cache.out)
+    out = cache.z
     v = out[:, -1]
     p = masked_softmax(out[:, :-1], masks)
     logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
@@ -99,23 +97,15 @@ def a2c_loss(net: Net2, obs: np.ndarray, actions: np.ndarray,
     return loss, backward(net, cache, g_out)
 
 
-class A2CPolicy(Policy):
+class A2CPolicy(NetLearner):
     algorithm = "a2c"
-    trains = True
+    extra_outputs = 1             # the state value, after the logits
 
-    def __init__(self, obs_dim: int, action_count: int,
-                 config: A2CConfig | None = None,
+    def __init__(self, obs_dim: int, action_count: int, config: A2CConfig,
                  init_rng: np.random.Generator | None = None):
-        super().__init__(obs_dim, action_count)
-        self.config = config if config is not None else A2CConfig()
-        rng = init_rng if init_rng is not None else np.random.default_rng(0)
-        self.net = init_net(obs_dim, self.config.hidden1, self.config.hidden2,
-                            action_count + 1, "linear", rng)
-        self.adam = adam_init(self.net.theta, lr=self.config.lr)
-        self.schedule = EpsilonSchedule(self.config.eps0, self.config.eps_final,
-                                        self.config.anneal_dialogues)
-        self.epsilon = self.config.eps0
-        self.episodes: deque[Episode] = deque(maxlen=self.config.window)
+        super().__init__(obs_dim, action_count, config, init_rng)
+        self.adam = adam_init(self.net.theta, lr=config.lr)
+        self.episodes: deque[Episode] = deque(maxlen=config.window)
         self._obs: list[np.ndarray] = []
         self._actions: list[int] = []
         self._masks: list[np.ndarray] = []
@@ -131,7 +121,6 @@ class A2CPolicy(Policy):
 
     def begin_dialogue(self, dialogue_index: int, training: bool) -> None:
         super().begin_dialogue(dialogue_index, training)
-        self.epsilon = self.schedule.at(dialogue_index)
         self._obs, self._actions, self._masks, self._rewards = [], [], [], []
 
     def act(self, observation: np.ndarray, mask: np.ndarray,
@@ -148,8 +137,6 @@ class A2CPolicy(Policy):
     def observe(self, transition: Transition, rng: np.random.Generator) -> None:
         if not self.training:
             return
-        if transition.mask is None:
-            raise ValueError("a2c needs the acting-time mask in transitions")
         self._obs.append(np.asarray(transition.observation, dtype=float))
         self._actions.append(transition.action)
         self._masks.append(np.asarray(transition.mask, dtype=bool))
@@ -193,9 +180,3 @@ class A2CPolicy(Policy):
                                advantages, weights, self.config.entropy_beta)
         adam_step(self.adam, self.net.theta, grads)
         return loss
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return self.net.named_params()
-
-    def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.net = Net2.from_arrays(arrays, "linear")

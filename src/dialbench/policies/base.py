@@ -1,4 +1,5 @@
-"""Common policy interface, exploration schedule, checkpoint format.
+"""Common policy interface, exploration schedule, the scaffold of the
+net learners, checkpoint format.
 
 A checkpoint is one ``.npz`` file: a JSON header plus the policy's named
 arrays.  The header carries everything ``make_policy`` needs to rebuild
@@ -20,6 +21,7 @@ import numpy as np
 from dialbench.artifacts import atomic_writer
 from dialbench.belief_tracker import BeliefState, belief_dim
 from dialbench.domain import Ontology
+from dialbench.rl_core import Net2, init_net
 
 CHECKPOINT_VERSION = 2
 
@@ -50,7 +52,7 @@ class Transition:
     next_observation: np.ndarray
     next_mask: np.ndarray
     done: bool
-    mask: np.ndarray | None = None    # mask the action was chosen under
+    mask: np.ndarray              # mask the action was chosen under
 
 
 class Policy:
@@ -103,6 +105,42 @@ class Policy:
             "domain": None if self.ontology is None else self.ontology.code,
         }
         save_checkpoint(path, self.algorithm, header, self.state_arrays())
+
+
+class NetLearner(Policy):
+    """A learner over one ``Net2`` with epsilon exploration.
+
+    The net reads the belief vector and has one output per summary
+    action plus ``extra_outputs`` (A2C's state value).  Its config names
+    the layer widths (``hidden1``, ``hidden2``) and the epsilon schedule
+    (``eps0``, ``eps_final``, ``anneal_dialogues``); epsilon follows the
+    schedule from one dialogue to the next.  A checkpoint keeps the net's
+    parameters.
+    """
+
+    trains = True
+    extra_outputs = 0
+
+    def __init__(self, obs_dim: int, action_count: int, config,
+                 init_rng: np.random.Generator | None = None):
+        super().__init__(obs_dim, action_count)
+        self.config = config
+        rng = init_rng if init_rng is not None else np.random.default_rng(0)
+        self.net = init_net(obs_dim, config.hidden1, config.hidden2,
+                            action_count + self.extra_outputs, rng)
+        self.schedule = EpsilonSchedule(config.eps0, config.eps_final,
+                                        config.anneal_dialogues)
+        self.epsilon = config.eps0
+
+    def begin_dialogue(self, dialogue_index: int, training: bool) -> None:
+        super().begin_dialogue(dialogue_index, training)
+        self.epsilon = self.schedule.at(dialogue_index)
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return self.net.named_params()
+
+    def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        self.net = Net2.from_arrays(arrays)
 
 
 def uniform_legal(mask: np.ndarray, rng: np.random.Generator) -> int:

@@ -8,20 +8,17 @@ import numpy as np
 
 from dialbench.belief_tracker import BeliefState
 from dialbench.policies.base import (
-    EpsilonSchedule,
-    Policy,
+    NetLearner,
     Transition,
     masked_argmax,
     uniform_legal,
 )
 from dialbench.rl_core import (
-    Net2,
     adam_init,
     adam_step,
     backward,
     forward,
     forward_cache,
-    init_net,
 )
 
 
@@ -50,37 +47,24 @@ def bellman_targets(rewards: np.ndarray, next_q: np.ndarray,
     return rewards + gamma * best
 
 
-class DQNPolicy(Policy):
+class DQNPolicy(NetLearner):
     algorithm = "dqn"
-    trains = True
 
-    def __init__(self, obs_dim: int, action_count: int,
-                 config: DQNConfig | None = None,
+    def __init__(self, obs_dim: int, action_count: int, config: DQNConfig,
                  init_rng: np.random.Generator | None = None):
-        super().__init__(obs_dim, action_count)
-        self.config = config if config is not None else DQNConfig()
-        rng = init_rng if init_rng is not None else np.random.default_rng(0)
-        self.q_net = init_net(obs_dim, self.config.hidden1, self.config.hidden2,
-                              action_count, "linear", rng)
-        self.target_net = self.q_net.copy()
-        self.adam = adam_init(self.q_net.theta, lr=self.config.lr)
-        self.schedule = EpsilonSchedule(self.config.eps0, self.config.eps_final,
-                                        self.config.anneal_dialogues)
-        self.epsilon = self.config.eps0
+        super().__init__(obs_dim, action_count, config, init_rng)
+        self.target_net = self.net.copy()
+        self.adam = adam_init(self.net.theta, lr=config.lr)
         self._buffer: list[Transition] = []
         self._write = 0
         self._dialogues = 0
-
-    def begin_dialogue(self, dialogue_index: int, training: bool) -> None:
-        super().begin_dialogue(dialogue_index, training)
-        self.epsilon = self.schedule.at(dialogue_index)
 
     def act(self, observation: np.ndarray, mask: np.ndarray,
             rng: np.random.Generator,
             belief: BeliefState | None = None) -> int:
         if self.training and rng.random() < self.epsilon:
             return uniform_legal(mask, rng)
-        q = forward(self.q_net, observation)
+        q = forward(self.net, observation)
         return masked_argmax(q, mask)
 
     def observe(self, transition: Transition, rng: np.random.Generator) -> None:
@@ -109,13 +93,13 @@ class DQNPolicy(Policy):
         targets = bellman_targets(rewards, next_q, next_masks, dones,
                                   self.config.gamma)
 
-        cache = forward_cache(self.q_net, obs)
+        cache = forward_cache(self.net, obs)
         q_taken = cache.out[np.arange(len(batch)), actions]
         err = q_taken - targets
         g_out = np.zeros_like(cache.out)
         g_out[np.arange(len(batch)), actions] = 2.0 * err / len(batch)
-        grads = backward(self.q_net, cache, g_out)
-        adam_step(self.adam, self.q_net.theta, grads)
+        grads = backward(self.net, cache, g_out)
+        adam_step(self.adam, self.net.theta, grads)
         return float(np.mean(err**2))
 
     def end_dialogue(self, rng: np.random.Generator) -> None:
@@ -123,12 +107,9 @@ class DQNPolicy(Policy):
             return
         self._dialogues += 1
         if self._dialogues % self.config.target_sync_dialogues == 0:
-            self.target_net = self.q_net.copy()
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return self.q_net.named_params()
+            self.target_net = self.net.copy()
 
     def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         # the target net restarts in sync with the Q-net; Adam starts fresh
-        self.q_net = Net2.from_arrays(arrays, "linear")
-        self.target_net = self.q_net.copy()
+        super().restore_arrays(arrays)
+        self.target_net = self.net.copy()

@@ -14,18 +14,12 @@ import numpy as np
 
 from dialbench.belief_tracker import BeliefState
 from dialbench.policies.base import (
-    EpsilonSchedule,
-    Policy,
+    NetLearner,
     Transition,
     masked_argmax,
     uniform_legal,
 )
-from dialbench.rl_core import (
-    Net2,
-    forward_cache,
-    grad_log_prob,
-    init_net,
-)
+from dialbench.rl_core import forward_cache, grad_log_prob, masked_softmax
 
 
 @dataclass(frozen=True)
@@ -62,21 +56,12 @@ def enac_natural_gradient(phis: np.ndarray, returns: np.ndarray,
     return coef[:-1]
 
 
-class ENACPolicy(Policy):
+class ENACPolicy(NetLearner):
     algorithm = "enac"
-    trains = True
 
-    def __init__(self, obs_dim: int, action_count: int,
-                 config: ENACConfig | None = None,
+    def __init__(self, obs_dim: int, action_count: int, config: ENACConfig,
                  init_rng: np.random.Generator | None = None):
-        super().__init__(obs_dim, action_count)
-        self.config = config if config is not None else ENACConfig()
-        rng = init_rng if init_rng is not None else np.random.default_rng(0)
-        self.net = init_net(obs_dim, self.config.hidden1, self.config.hidden2,
-                            action_count, "softmax", rng)
-        self.schedule = EpsilonSchedule(self.config.eps0, self.config.eps_final,
-                                        self.config.anneal_dialogues)
-        self.epsilon = self.config.eps0
+        super().__init__(obs_dim, action_count, config, init_rng)
         self._phi: np.ndarray | None = None
         self._rewards: list[float] = []
         self._batch_phis: list[np.ndarray] = []
@@ -88,15 +73,16 @@ class ENACPolicy(Policy):
 
     def begin_dialogue(self, dialogue_index: int, training: bool) -> None:
         super().begin_dialogue(dialogue_index, training)
-        self.epsilon = self.schedule.at(dialogue_index)
         self._phi = np.zeros(self.param_count)
         self._rewards = []
 
     def act(self, observation: np.ndarray, mask: np.ndarray,
             rng: np.random.Generator,
             belief: BeliefState | None = None) -> int:
-        cache = forward_cache(self.net, observation, mask)
-        p = np.atleast_2d(cache.out)[0]
+        cache = forward_cache(self.net, observation)
+        # greedy on the probabilities, not the logits: exp rounding can
+        # tie two legal actions the logits tell apart
+        p = masked_softmax(cache.z, mask)[0]
         if not self.training:
             return masked_argmax(p, mask)
         if rng.random() < self.epsilon:
@@ -105,7 +91,7 @@ class ENACPolicy(Policy):
             action = int(rng.choice(self.action_count, p=p / p.sum()))
         # the uniform branch is treated as on-policy when accumulating
         # scores; the bias this introduces shrinks with epsilon
-        self._phi += grad_log_prob(self.net, cache, action)
+        self._phi += grad_log_prob(self.net, cache, p, mask, action)
         return action
 
     def observe(self, transition: Transition, rng: np.random.Generator) -> None:
@@ -130,9 +116,3 @@ class ENACPolicy(Policy):
         if norm == 0.0:
             return
         self.net.theta += self.config.step_size * w / norm
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return self.net.named_params()
-
-    def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.net = Net2.from_arrays(arrays, "softmax")

@@ -1,9 +1,11 @@
 """Shared learner plumbing: a small two-hidden-layer net with exact
 backprop, and Adam.
 
-The net has rectifier hidden layers and either a linear head (values) or a
-softmax head restricted to legal actions (stochastic policies).  Weights
-are float64 throughout; initialization is uniform scaled by fan-in.
+The net has rectifier hidden layers and a linear output layer; a learner
+that wants probabilities applies ``masked_softmax`` to the outputs it
+reads as logits, and ``grad_log_prob`` differentiates the log of one of
+them.  Weights are float64 throughout; initialization is uniform scaled
+by fan-in.
 
 A net keeps all its parameters in one flat vector, and gradients come back
 as one flat vector with the same layout, so Adam and the natural-gradient
@@ -22,19 +24,17 @@ PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 class Net2:
-    """Two rectifier layers and a head over one flat parameter vector.
+    """Two rectifier layers and a linear output layer over one flat
+    parameter vector.
 
     ``w1, b1, w2, b2, w3, b3`` are C-contiguous views into ``theta``, in
     ``PARAM_NAMES`` order; update them in place so they stay tied to it.
     """
 
-    def __init__(self, dims: tuple[int, int, int, int], head: str,
+    def __init__(self, dims: tuple[int, int, int, int],
                  theta: np.ndarray | None = None):
-        if head not in ("linear", "softmax"):
-            raise ValueError(f"unknown head {head!r}")
         n_in, h1, h2, n_out = dims
         self.dims = (n_in, h1, h2, n_out)
-        self.head = head
         self._shapes = ((n_in, h1), (h1,), (h1, h2), (h2,), (h2, n_out),
                         (n_out,))
         if theta is None:
@@ -43,12 +43,11 @@ class Net2:
         self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = self.split(theta)
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], head: str) -> Net2:
+    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> Net2:
         """Pack named arrays, as ``named_params`` gives them, into a new
         parameter vector."""
         n_in, h1 = arrays["w1"].shape
-        net = cls((n_in, h1, arrays["w2"].shape[1], arrays["w3"].shape[1]),
-                  head)
+        net = cls((n_in, h1, arrays["w2"].shape[1], arrays["w3"].shape[1]))
         for name, view in net.named_params().items():
             if arrays[name].shape != view.shape:
                 raise ValueError(f"{name} has shape {arrays[name].shape}, "
@@ -69,16 +68,16 @@ class Net2:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
     def named_params(self) -> dict[str, np.ndarray]:
-        """Parameters by name; ``Net2.from_arrays(named, head)`` rebuilds."""
+        """Parameters by name; ``Net2.from_arrays(named)`` rebuilds."""
         return dict(zip(PARAM_NAMES, self.params()))
 
     def copy(self) -> Net2:
-        return Net2(self.dims, self.head, self.theta.copy())
+        return Net2(self.dims, self.theta.copy())
 
 
 def init_net(in_dim: int, hidden1: int, hidden2: int, out_dim: int,
-             head: str, rng: np.random.Generator) -> Net2:
-    net = Net2((in_dim, hidden1, hidden2, out_dim), head)
+             rng: np.random.Generator) -> Net2:
+    net = Net2((in_dim, hidden1, hidden2, out_dim))
     for w in (net.w1, net.w2, net.w3):      # biases stay zero
         bound = 1.0 / np.sqrt(w.shape[0])
         w[...] = rng.uniform(-bound, bound, w.shape)
@@ -90,98 +89,63 @@ class ForwardCache:
     x: np.ndarray
     h1: np.ndarray
     h2: np.ndarray
-    z: np.ndarray                 # pre-head output
-    out: np.ndarray
-    mask: np.ndarray | None
-    squeeze: bool
+    z: np.ndarray                 # outputs, one row per input
+    out: np.ndarray               # z, or its one row for a single input
 
 
-def masked_softmax(z: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """Softmax over legal entries; masked-out entries get probability 0."""
-    z = np.atleast_2d(z)
-    if mask is None:
-        legal = np.ones(z.shape, dtype=bool)
-    else:
-        legal = np.atleast_2d(mask).astype(bool)
-        if legal.shape[0] == 1 and z.shape[0] > 1:
-            legal = np.broadcast_to(legal, z.shape)
-    shifted = np.where(legal, z, -np.inf)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    e = np.where(legal, e, 0.0)
+def masked_softmax(z: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax over legal entries, one row per row of ``z``; masked-out
+    entries get probability 0 (``exp(-inf)``).  A single mask row serves
+    every row."""
+    shifted = np.where(np.asarray(mask, dtype=bool), np.atleast_2d(z), -np.inf)
+    e = np.exp(shifted - shifted.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward(net: Net2, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    return forward_cache(net, x, mask).out
+def forward(net: Net2, x: np.ndarray) -> np.ndarray:
+    return forward_cache(net, x).out
 
 
-def forward_cache(net: Net2, x: np.ndarray,
-                  mask: np.ndarray | None = None) -> ForwardCache:
+def forward_cache(net: Net2, x: np.ndarray) -> ForwardCache:
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
     xb = np.ascontiguousarray(np.atleast_2d(x))
     h1 = np.maximum(xb @ net.w1 + net.b1, 0.0)
     h2 = np.maximum(h1 @ net.w2 + net.b2, 0.0)
     z = h2 @ net.w3 + net.b3
-    if net.head == "softmax":
-        out = masked_softmax(z, mask)
-    else:
-        out = z
-    if squeeze:
-        out = out[0]
-    return ForwardCache(x=xb, h1=h1, h2=h2, z=z, out=out, mask=mask,
-                        squeeze=squeeze)
-
-
-def _net2_backward(net: Net2, x, h1, h2, g_out) -> np.ndarray:
-    """Gradients of the two rectifier layers and the linear head, given
-    dL/d(pre-head output), in one flat vector laid out like ``theta``."""
-    grad = np.empty_like(net.theta)
-    g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = net.split(grad)
-    np.matmul(h2.T, g_out, out=g_w3)
-    g_out.sum(axis=0, out=g_b3)
-    g_h2 = np.where(h2 > 0.0, g_out @ net.w3.T, 0.0)
-    np.matmul(h1.T, g_h2, out=g_w2)
-    g_h2.sum(axis=0, out=g_b2)
-    g_h1 = np.where(h1 > 0.0, g_h2 @ net.w2.T, 0.0)
-    np.matmul(x.T, g_h1, out=g_w1)
-    g_h1.sum(axis=0, out=g_b1)
-    return grad
+    return ForwardCache(x=xb, h1=h1, h2=h2, z=z,
+                        out=z[0] if x.ndim == 1 else z)
 
 
 def backward(net: Net2, cache: ForwardCache,
              grad_out: np.ndarray) -> np.ndarray:
-    """Parameter gradients given dL/d(output of forward), as one flat
-    vector laid out like ``net.theta`` (``net.split`` gives the arrays).
+    """Parameter gradients given dL/d(outputs), as one flat vector laid
+    out like ``net.theta`` (``net.split`` gives the arrays)."""
+    g_z = np.ascontiguousarray(
+        np.atleast_2d(np.asarray(grad_out, dtype=np.float64)))
+    h1, h2 = cache.h1, cache.h2
+    grad = np.empty_like(net.theta)
+    g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = net.split(grad)
+    np.matmul(h2.T, g_z, out=g_w3)
+    g_z.sum(axis=0, out=g_b3)
+    g_h2 = np.where(h2 > 0.0, g_z @ net.w3.T, 0.0)
+    np.matmul(h1.T, g_h2, out=g_w2)
+    g_h2.sum(axis=0, out=g_b2)
+    g_h1 = np.where(h1 > 0.0, g_h2 @ net.w2.T, 0.0)
+    np.matmul(cache.x.T, g_h1, out=g_w1)
+    g_h1.sum(axis=0, out=g_b1)
+    return grad
 
-    For the softmax head grad_out is taken with respect to the
-    probabilities; the softmax Jacobian is applied here and masked-out
-    logits receive exactly zero gradient.
-    """
-    g = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
-    if net.head == "softmax":
-        p = np.atleast_2d(cache.out)
-        inner = (g * p).sum(axis=1, keepdims=True)
-        g_z = p * (g - inner)
-    else:
-        g_z = g
-    g_z = np.ascontiguousarray(g_z)
-    return _net2_backward(net, cache.x, cache.h1, cache.h2, g_z)
 
-
-def grad_log_prob(net: Net2, cache: ForwardCache, action: int) -> np.ndarray:
-    """Gradient of log pi(action | x) for a softmax-head net, flat like
-    ``backward``'s."""
-    if net.head != "softmax":
-        raise ValueError("grad_log_prob needs a softmax head")
-    p = np.atleast_2d(cache.out)
-    g_z = -p.copy()
+def grad_log_prob(net: Net2, cache: ForwardCache, probs: np.ndarray,
+                  mask: np.ndarray, action: int) -> np.ndarray:
+    """Gradient of log pi(action | x), flat like ``backward``'s, for one
+    input whose outputs are logits: ``probs`` is
+    ``masked_softmax(cache.z, mask)``.  Masked-out logits get exactly
+    zero gradient."""
+    g_z = -np.atleast_2d(probs)
     g_z[0, action] += 1.0
-    if cache.mask is not None:
-        g_z[0, ~np.atleast_2d(cache.mask)[0].astype(bool)] = 0.0
-    g_z = np.ascontiguousarray(g_z)
-    return _net2_backward(net, cache.x, cache.h1, cache.h2, g_z)
+    g_z[0, ~np.asarray(mask, dtype=bool)] = 0.0
+    return backward(net, cache, g_z)
 
 
 @dataclass

@@ -17,7 +17,7 @@ def tiny_config(**overrides):
 
 def small_net(n_actions, seed=0, in_dim=5):
     rng = np.random.default_rng(seed)
-    net = init_net(in_dim, 6, 5, n_actions + 1, "linear", rng)
+    net = init_net(in_dim, 6, 5, n_actions + 1, rng)
     net.b1[:] = rng.normal(size=net.b1.shape) * 0.3
     net.b2[:] = rng.normal(size=net.b2.shape) * 0.3
     return net
@@ -185,15 +185,6 @@ def test_epsilon_mix_hits_low_probability_actions():
     mask = np.ones(2, dtype=bool)
     seen = {policy.act(np.zeros(2), mask, rng) for _ in range(100)}
     assert seen == {0, 1}
-
-
-def test_observe_requires_mask():
-    policy = A2CPolicy(2, 2, tiny_config())
-    policy.begin_dialogue(0, training=True)
-    t = Transition(np.zeros(2), 0, -1.0, np.zeros(2),
-                   np.ones(2, dtype=bool), False, mask=None)
-    with pytest.raises(ValueError):
-        policy.observe(t, np.random.default_rng(3))
 
 
 # ------------------------------------------------------------- episodes

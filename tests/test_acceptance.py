@@ -26,9 +26,15 @@ from dialbench.policies import (
     GPSarsaConfig,
     GPSarsaPolicy,
 )
+from dialbench.policies.a2c import a2c_loss
 from dialbench.policies.dqn import bellman_targets
 from dialbench.policies.enac import enac_natural_gradient
-from dialbench.rl_core import backward, forward_cache, grad_log_prob
+from dialbench.rl_core import (
+    backward,
+    forward_cache,
+    grad_log_prob,
+    masked_softmax,
+)
 from dialbench.semantics import DialogueAct
 
 from test_error_channel import sample_acts
@@ -178,7 +184,7 @@ def test_08_gradient_checks():
     start = time.monotonic()
     rng = np.random.default_rng(8)
 
-    net = small_net("linear", seed=8)
+    net = small_net(seed=8)
     x = rng.normal(size=6)
     c = rng.normal(size=4)
     assert_fd_safe(net, x)
@@ -190,21 +196,37 @@ def test_08_gradient_checks():
     for a, n in zip(analytic, fd_grads(linear_loss, net.params())):
         assert np.allclose(a, n, rtol=1e-4, atol=1e-6)
 
-    net = small_net("softmax", seed=9)
+    # A2C's surrogate: three logits and the state value
+    net = small_net(seed=10)
+    obs = rng.normal(size=(3, 6))
+    actions = np.array([0, 2, 1])
+    masks = np.array([[True, True, False],
+                      [True, False, True],
+                      [False, True, True]])
+    returns, advantages = rng.normal(size=3), rng.normal(size=3)
+    weights = rng.uniform(0.5, 2.0, size=3)
+    assert_fd_safe(net, obs)
+
+    def surrogate():
+        return a2c_loss(net, obs, actions, masks, returns, advantages,
+                        weights, 0.01)[0]
+
+    analytic = net.split(a2c_loss(net, obs, actions, masks, returns,
+                                  advantages, weights, 0.01)[1])
+    for a, n in zip(analytic, fd_grads(surrogate, net.params())):
+        assert np.allclose(a, n, rtol=1e-4, atol=1e-6)
+
+    net = small_net(seed=9)
     mask = np.array([True, True, False, True])
     assert_fd_safe(net, x)
 
-    def softmax_loss():
-        return float(forward_cache(net, x, mask).out @ c)
-
-    analytic = net.split(backward(net, forward_cache(net, x, mask), c))
-    for a, n in zip(analytic, fd_grads(softmax_loss, net.params())):
-        assert np.allclose(a, n, rtol=1e-4, atol=1e-6)
-
     def logp_loss():
-        return float(np.log(forward_cache(net, x, mask).out[1]))
+        return float(np.log(masked_softmax(forward_cache(net, x).z,
+                                           mask)[0, 1]))
 
-    analytic = net.split(grad_log_prob(net, forward_cache(net, x, mask), 1))
+    cache = forward_cache(net, x)
+    analytic = net.split(grad_log_prob(net, cache,
+                                       masked_softmax(cache.z, mask), mask, 1))
     for a, n in zip(analytic, fd_grads(logp_loss, net.params())):
         assert np.allclose(a, n, rtol=1e-4, atol=1e-6)
 

@@ -137,6 +137,33 @@ def test_repeated_seeds_exit_2(capsys, tmp_path):
     assert "distinct" in err
 
 
+@pytest.mark.parametrize("source,seed", [("flag", -1), ("config", -1),
+                                         ("flag", 1 << 128)])
+def test_out_of_range_seed_exits_2(capsys, tmp_path, source, seed):
+    argv = ["train", "--task", "env1-CR", "--algo", "handcrafted",
+            "--dialogues", "0", "--test-dialogues", "1",
+            "--out", str(tmp_path)]
+    if source == "flag":
+        argv += ["--seeds", str(seed)]
+    else:
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[harness]\nseeds = 0, {seed}\n")
+        argv += ["--config", str(ini)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert f"seeds must lie in 0 .. 2**128 - 1, got {seed}" in err
+
+
+@pytest.mark.parametrize("verb", ["train", "benchmark"])
+def test_negative_dialogues_exit_2(capsys, tmp_path, verb):
+    code, _, err = run_cli(capsys, verb, "--task", "env1-CR",
+                           "--algo", "handcrafted", "--seeds", "0",
+                           "--dialogues", "-1", "--test-dialogues", "1",
+                           "--out", str(tmp_path))
+    assert code == 2
+    assert "training dialogues must not be negative, got -1" in err
+
+
 def test_zero_test_dialogues_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "train", "--task", "env1-CR",
                            "--algo", "handcrafted", "--seeds", "0",

@@ -79,7 +79,7 @@ def test_bellman_targets_respect_mask_with_one_legal_action():
 def test_greedy_act_is_masked_argmax():
     policy = DQNPolicy(3, 4, tiny_config())
     obs = np.array([0.3, -0.2, 1.0])
-    q = forward(policy.q_net, obs)
+    q = forward(policy.net, obs)
     mask = np.array([True, True, False, True])
     a = policy.act(obs, mask, np.random.default_rng(0))
     legal = np.where(mask, q, -np.inf)
@@ -136,23 +136,23 @@ def test_buffer_is_a_ring():
 def test_no_updates_before_warmup():
     policy = DQNPolicy(2, 2, tiny_config(train_after=50))
     policy.begin_dialogue(0, True)
-    before = [p.copy() for p in policy.q_net.params()]
+    before = [p.copy() for p in policy.net.params()]
     rng = np.random.default_rng(4)
     for i in range(20):
         policy.observe(transition([0.1, 0.2], 0, -1.0, [0.3, 0.4], False), rng)
-    for b, p in zip(before, policy.q_net.params()):
+    for b, p in zip(before, policy.net.params()):
         assert np.array_equal(b, p)
 
 
 def test_updates_start_after_warmup():
     policy = DQNPolicy(2, 2, tiny_config(train_after=10))
     policy.begin_dialogue(0, True)
-    before = [p.copy() for p in policy.q_net.params()]
+    before = [p.copy() for p in policy.net.params()]
     rng = np.random.default_rng(5)
     for i in range(15):
         policy.observe(transition([0.1, 0.2], i % 2, -1.0, [0.3, 0.4], False), rng)
     assert any(not np.array_equal(b, p)
-               for b, p in zip(before, policy.q_net.params()))
+               for b, p in zip(before, policy.net.params()))
 
 
 def test_observe_noop_outside_training():
@@ -172,12 +172,12 @@ def test_target_sync_every_second_dialogue():
     policy.begin_dialogue(0, True)
     for i in range(8):
         policy.observe(transition([0.5, -0.5], i % 2, 1.0, [0.5, -0.5], False), rng)
-    # q_net moved, target still at init
-    assert not np.array_equal(policy.q_net.w3, policy.target_net.w3)
+    # the Q-net moved, target still at init
+    assert not np.array_equal(policy.net.w3, policy.target_net.w3)
     policy.end_dialogue(rng)
-    assert not np.array_equal(policy.q_net.w3, policy.target_net.w3)
+    assert not np.array_equal(policy.net.w3, policy.target_net.w3)
     policy.end_dialogue(rng)
-    assert np.array_equal(policy.q_net.w3, policy.target_net.w3)
+    assert np.array_equal(policy.net.w3, policy.target_net.w3)
 
 
 def test_target_not_synced_outside_training():
@@ -189,7 +189,7 @@ def test_target_not_synced_outside_training():
     policy.begin_dialogue(1, training=False)
     policy.end_dialogue(rng)
     policy.end_dialogue(rng)
-    assert not np.array_equal(policy.q_net.w3, policy.target_net.w3)
+    assert not np.array_equal(policy.net.w3, policy.target_net.w3)
 
 
 # ------------------------------------------------------------- learning
@@ -236,7 +236,7 @@ def test_chain_mdp_learns_greedy_advance():
     policy.begin_dialogue(0, training=False)
     assert policy.act(s0, mask, rng) == ADV
     assert policy.act(s1, mask, rng) == ADV
-    q1 = forward(policy.q_net, s1)
+    q1 = forward(policy.net, s1)
     assert q1[ADV] == pytest.approx(10.0, abs=2.0)
 
 
@@ -255,10 +255,10 @@ def test_save_load_round_trip(tmp_path):
     policy.save(path)
     restored = load_policy(path)
     probe = rng.random(4)
-    assert np.allclose(forward(restored.q_net, probe),
-                       forward(policy.q_net, probe), atol=1e-12)
+    assert np.allclose(forward(restored.net, probe),
+                       forward(policy.net, probe), atol=1e-12)
     # target net restarts in sync with the live net
-    assert np.array_equal(restored.q_net.w1, restored.target_net.w1)
+    assert np.array_equal(restored.net.w1, restored.target_net.w1)
 
 
 def test_load_rejects_foreign_checkpoint(tmp_path):

@@ -149,8 +149,9 @@ def test_phi_accumulates_score_functions():
     expected = np.zeros(policy.param_count)
     for obs in observations:
         a = policy.act(obs, mask, rng)
-        cache = forward_cache(policy.net, obs, mask)
-        grads = grad_log_prob(policy.net, cache, a)
+        cache = forward_cache(policy.net, obs)
+        grads = grad_log_prob(policy.net, cache,
+                              masked_softmax(cache.z, mask), mask, a)
         expected += np.concatenate([g.ravel() for g in grads])
     assert np.allclose(policy._phi, expected, atol=1e-12)
 
@@ -193,7 +194,7 @@ def test_two_armed_bandit_prefers_better_arm():
         policy.end_dialogue(rng)
     policy.begin_dialogue(0, training=False)
     assert policy.act(obs, mask, rng) == 0
-    probs = forward(policy.net, obs, mask)
+    probs = masked_softmax(forward(policy.net, obs), mask)[0]
     assert probs[0] > 0.8
 
 
@@ -210,8 +211,9 @@ def test_save_load_round_trip(tmp_path):
     restored = load_policy(path)
     probe = rng.random(4)
     mask = np.array([True, True, False])
-    assert np.allclose(forward(restored.net, probe, mask),
-                       forward(policy.net, probe, mask), atol=1e-12)
+    assert np.allclose(masked_softmax(forward(restored.net, probe), mask),
+                       masked_softmax(forward(policy.net, probe), mask),
+                       atol=1e-12)
     assert restored.config.step_size == policy.config.step_size
 
 

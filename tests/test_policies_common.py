@@ -29,7 +29,7 @@ from dialbench.policies import (
     uniform_legal,
 )
 from dialbench.policies import base
-from dialbench.rl_core import forward
+from dialbench.rl_core import forward, masked_softmax
 
 
 # ------------------------------------------------------------- schedule
@@ -186,9 +186,9 @@ def test_older_checkpoint_versions_are_refused(tmp_path, monkeypatch):
 GREEDY_VALUES = {
     "gpsarsa": lambda p, obs, mask: np.array(
         [p.q_posterior(obs, a)[0] for a in range(p.action_count)]),
-    "dqn": lambda p, obs, mask: forward(p.q_net, obs),
+    "dqn": lambda p, obs, mask: forward(p.net, obs),
     "a2c": lambda p, obs, mask: forward(p.net, obs)[:-1],
-    "enac": lambda p, obs, mask: forward(p.net, obs, mask),
+    "enac": lambda p, obs, mask: masked_softmax(forward(p.net, obs), mask)[0],
 }
 
 

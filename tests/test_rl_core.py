@@ -1,7 +1,6 @@
 """Net, backprop and Adam plumbing shared by the learners."""
 
 import numpy as np
-import pytest
 
 from dialbench.policies import DQNConfig, DQNPolicy
 from dialbench.rl_core import (
@@ -34,9 +33,9 @@ def fd_grads(loss_fn, params, h=1e-6):
     return grads
 
 
-def small_net(head, seed=0, in_dim=6, out_dim=4):
+def small_net(seed=0, in_dim=6, out_dim=4):
     rng = np.random.default_rng(seed)
-    net = init_net(in_dim, 5, 4, out_dim, head, rng)
+    net = init_net(in_dim, 5, 4, out_dim, rng)
     # zero biases put dead units exactly on the rectifier kink, which
     # breaks finite differences; nudge them off it
     net.b1[:] = rng.normal(size=net.b1.shape) * 0.3
@@ -61,7 +60,7 @@ def assert_grads_close(analytic, numeric):
 
 
 def test_backward_linear_head_matches_fd():
-    net = small_net("linear")
+    net = small_net()
     rng = np.random.default_rng(1)
     x = rng.normal(size=6)
     c = rng.normal(size=4)
@@ -75,24 +74,8 @@ def test_backward_linear_head_matches_fd():
                        fd_grads(loss, net.params()))
 
 
-def test_backward_softmax_head_matches_fd():
-    net = small_net("softmax")
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=6)
-    c = rng.normal(size=4)
-    mask = np.array([True, True, False, True])
-
-    def loss():
-        return float(np.dot(c, forward(net, x, mask)))
-
-    assert_fd_safe(net, x)
-    cache = forward_cache(net, x, mask)
-    assert_grads_close(net.split(backward(net, cache, c)),
-                       fd_grads(loss, net.params()))
-
-
 def test_backward_batched_matches_fd():
-    net = small_net("linear")
+    net = small_net()
     rng = np.random.default_rng(3)
     x = rng.normal(size=(3, 6))
     c = rng.normal(size=(3, 4))
@@ -107,37 +90,33 @@ def test_backward_batched_matches_fd():
 
 
 def test_grad_log_prob_matches_fd():
-    net = small_net("softmax")
+    net = small_net()
     rng = np.random.default_rng(4)
     x = rng.normal(size=6)
     mask = np.array([True, False, True, True])
     action = 2
 
     def loss():
-        return float(np.log(forward(net, x, mask)[action]))
+        return float(np.log(masked_softmax(forward(net, x), mask)[0, action]))
 
     assert_fd_safe(net, x)
-    cache = forward_cache(net, x, mask)
-    assert_grads_close(net.split(grad_log_prob(net, cache, action)),
+    cache = forward_cache(net, x)
+    probs = masked_softmax(cache.z, mask)
+    assert_grads_close(net.split(grad_log_prob(net, cache, probs, mask,
+                                               action)),
                        fd_grads(loss, net.params()))
 
 
 def test_masked_logits_get_zero_gradient():
-    net = small_net("softmax")
+    net = small_net()
     x = np.random.default_rng(5).normal(size=6)
     mask = np.array([True, True, False, True])
-    cache = forward_cache(net, x, mask)
-    grads = net.split(grad_log_prob(net, cache, 0))
+    cache = forward_cache(net, x)
+    probs = masked_softmax(cache.z, mask)
+    grads = net.split(grad_log_prob(net, cache, probs, mask, 0))
     g_w3, g_b3 = grads[4], grads[5]
     assert np.all(g_w3[:, 2] == 0.0)
     assert g_b3[2] == 0.0
-
-
-def test_grad_log_prob_requires_softmax():
-    net = small_net("linear")
-    cache = forward_cache(net, np.zeros(6))
-    with pytest.raises(ValueError):
-        grad_log_prob(net, cache, 0)
 
 
 # ---------------------------------------------------------------- softmax
@@ -163,7 +142,8 @@ def test_masked_softmax_shift_invariant():
 def test_masked_softmax_no_mask_is_plain_softmax():
     z = np.array([0.2, 1.4, -0.7])
     e = np.exp(z - z.max())
-    assert np.allclose(masked_softmax(z, None)[0], e / e.sum())
+    assert np.allclose(masked_softmax(z, np.ones(3, dtype=bool))[0],
+                       e / e.sum())
 
 
 def test_masked_softmax_single_legal_action():
@@ -181,9 +161,9 @@ def test_masked_softmax_broadcasts_single_mask_row():
 
 
 def test_forward_squeezes_single_observation():
-    net = small_net("softmax")
-    out1 = forward(net, np.zeros(6), np.ones(4, dtype=bool))
-    out2 = forward(net, np.zeros((2, 6)), np.ones(4, dtype=bool))
+    net = small_net()
+    out1 = forward(net, np.zeros(6))
+    out2 = forward(net, np.zeros((2, 6)))
     assert out1.shape == (4,)
     assert out2.shape == (2, 4)
 
@@ -222,7 +202,7 @@ def test_adam_descends_quadratic():
 
 
 def test_adam_state_shapes_follow_params():
-    net = init_net(4, 3, 2, 2, "linear", np.random.default_rng(0))
+    net = init_net(4, 3, 2, 2, np.random.default_rng(0))
     state = adam_init(net.theta)
     assert state.m.shape == state.v.shape == (4 * 3 + 3 + 3 * 2 + 2 + 2 * 2 + 2,)
 
@@ -244,7 +224,7 @@ def _per_array_adam_step(state, params, grads):
 
 def test_adam_matches_per_array_reference():
     rng = np.random.default_rng(14)
-    net = init_net(230, 300, 100, 23, "linear", rng)
+    net = init_net(230, 300, 100, 23, rng)
     ref_params = [p.copy() for p in net.params()]
     ref = {"t": 0, "m": [np.zeros_like(p) for p in ref_params],
            "v": [np.zeros_like(p) for p in ref_params]}
@@ -265,7 +245,7 @@ def test_adam_matches_per_array_reference():
 
 
 def test_init_net_shapes_and_bounds():
-    net = init_net(10, 8, 6, 4, "linear", np.random.default_rng(9))
+    net = init_net(10, 8, 6, 4, np.random.default_rng(9))
     assert net.dims == (10, 8, 6, 4)
     assert net.w1.shape == (10, 8) and net.b1.shape == (8,)
     assert net.w2.shape == (8, 6) and net.b2.shape == (6,)
@@ -275,20 +255,15 @@ def test_init_net_shapes_and_bounds():
     assert np.all(net.b1 == 0) and np.all(net.b2 == 0) and np.all(net.b3 == 0)
 
 
-def test_init_net_rejects_unknown_head():
-    with pytest.raises(ValueError):
-        init_net(4, 3, 2, 2, "tanh", np.random.default_rng(0))
-
-
 def test_init_net_deterministic():
-    a = init_net(5, 4, 3, 2, "linear", np.random.default_rng(11))
-    b = init_net(5, 4, 3, 2, "linear", np.random.default_rng(11))
+    a = init_net(5, 4, 3, 2, np.random.default_rng(11))
+    b = init_net(5, 4, 3, 2, np.random.default_rng(11))
     for pa, pb in zip(a.params(), b.params()):
         assert np.array_equal(pa, pb)
 
 
 def test_net_params_share_one_vector():
-    net = small_net("linear")
+    net = small_net()
     assert net.theta.size == sum(p.size for p in net.params())
     for p in net.params():
         assert p.base is net.theta and p.flags.c_contiguous
@@ -304,17 +279,17 @@ def test_net_params_share_one_vector():
     arrays = {name: p.copy() for name, p in net.named_params().items()}
     policy = DQNPolicy(6, 4, DQNConfig(hidden1=5, hidden2=4))
     policy.restore_arrays(arrays)
-    packed = policy.q_net
+    packed = policy.net
     assert np.array_equal(packed.theta, net.theta)
     for name, p in packed.named_params().items():
         assert p.base is packed.theta
         assert not np.shares_memory(p, arrays[name])
-    assert Net2.from_arrays(arrays, "linear").dims == net.dims
+    assert Net2.from_arrays(arrays).dims == net.dims
 
 
 def test_net_copy_is_independent():
-    net = small_net("linear")
+    net = small_net()
     clone = net.copy()
     clone.w1 += 1.0
     assert not np.array_equal(net.w1, clone.w1)
-    assert clone.head == net.head
+    assert clone.dims == net.dims
