@@ -1,9 +1,16 @@
 """Gaussian-process SARSA: posterior correctness, dictionary maintenance,
 the incremental-inverse identity, and learning on a tiny chain MDP."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dialbench
 from dialbench.policies.base import Transition, load_policy, save_checkpoint
 from dialbench.policies.gpsarsa import (
     GPSarsaConfig,
@@ -277,6 +284,58 @@ def test_save_load_round_trip(tmp_path):
         assert restored.q_posterior(probe, a) == pytest.approx(
             policy.q_posterior(probe, a), abs=1e-9
         )
+
+
+# ------------------------------------------------------------- pinned bytes
+
+# SHA-256 of the checkpoint that 100 training dialogues of GP-SARSA on
+# env3-CR, run seed 0, leave behind with a 120-point budget and a refresh
+# every 7 events per block: 618 of the 628 ingests are novel, so 498
+# budget merges run.  Recorded with numpy 2.4 and its bundled OpenBLAS
+# 0.3.31 on an x86-64 Xeon.
+PINNED_GPSARSA_CHECKPOINT = (
+    "89efa3346dac0df0f4974c1a2f2ed023bbbaf83560696b3f9f1d417a36efbab7")
+
+PINNED_RUN = """
+import sys
+from pathlib import Path
+from dialbench.harness import RunSpec, run_training
+from dialbench.policies import GPSarsaPolicy
+
+novel = []
+ingest = GPSarsaPolicy._ingest
+
+
+def counted(self, observation, action, target):
+    block = self.blocks[action]
+    novel.append(block.n == 0 or block.novelty(observation) > self.config.nu)
+    ingest(self, observation, action, target)
+
+
+GPSarsaPolicy._ingest = counted
+run_training(RunSpec("env3-CR", "gpsarsa", seeds=(0,), train_dialogues=100,
+                     eval_points=(100,), test_dialogues=2,
+                     out_dir=Path(sys.argv[1])),
+             policy_overrides={"max_points": 120, "refresh_every": 7})
+print(sum(novel), len(novel))
+"""
+
+
+def test_gpsarsa_checkpoint_bytes_are_pinned(tmp_path):
+    """Any change to the floating-point operations of the dictionary upkeep
+    (adds, reinforcements, budget merges, refreshes) or to the exploration
+    draws changes these bytes.  The run gets its own process with one BLAS
+    thread, as the pinned DQN run does."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dialbench.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", PINNED_RUN, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.split()[-2:] == ["618", "628"]
+    path = tmp_path / "checkpoints" / "env3-CR" / "gpsarsa" / "seed0-d100.npz"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        PINNED_GPSARSA_CHECKPOINT
 
 
 def test_load_rejects_foreign_checkpoint(tmp_path):
