@@ -381,9 +381,3 @@ def corrupt(act: DialogueAct, params: ErrorParams, ontology: Ontology,
     hyps.extend(ScoredHypothesis(a, raw / total) for a, raw in tail)
     residual = 1.0 - sum(h.confidence for h in hyps)
     return NBestList(tuple(hyps), residual=residual)
-
-
-def is_corrupted(nbest: NBestList, true_act: DialogueAct) -> bool:
-    """True when the channel altered the top hypothesis."""
-    top = nbest.top
-    return top is None or top.act != true_act

@@ -111,14 +111,6 @@ class A2CPolicy(NetLearner):
         self._masks: list[np.ndarray] = []
         self._rewards: list[float] = []
 
-    def action_probs(self, observation: np.ndarray,
-                     mask: np.ndarray) -> np.ndarray:
-        out = forward(self.net, observation)
-        return masked_softmax(out[:-1], mask)[0]
-
-    def value(self, observation: np.ndarray) -> float:
-        return float(forward(self.net, observation)[-1])
-
     def begin_dialogue(self, dialogue_index: int, training: bool) -> None:
         super().begin_dialogue(dialogue_index, training)
         self._obs, self._actions, self._masks, self._rewards = [], [], [], []

@@ -15,8 +15,12 @@ is the standard GP regression posterior of block a, which is what the
 dense-solve oracle in the test suite checks against.
 
 A new point only enters its dictionary when its kernel residual exceeds
-nu; when the global budget is exhausted, the most redundant point (largest
-diagonal of K^-1) is merged into its nearest neighbour.
+nu; when the global budget is full, the most redundant point (largest
+diagonal of K^-1, the new point's bordered update included) is merged into
+its nearest neighbour.  It is chosen before the add: if it lies in the
+add's block, the add's updates, which the merge's rebuild would replace,
+are never made.  A rebuild of unchanged points reuses its last G and K^-1
+and inverts only A.  The results are the bits of add-then-merge.
 """
 
 from __future__ import annotations
@@ -54,10 +58,15 @@ def _bordered_inverse(m_inv: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
     u = m_inv @ k
     s = max(c - float(k @ u), 1e-12)
     out[:n, :n] = m_inv + np.outer(u, u) / s
-    out[:n, n] = -u / s
-    out[n, :n] = -u / s
+    out[:n, n] = out[n, :n] = -u / s
     out[n, n] = 1.0 / s
     return out
+
+
+def _lowest_score(k_inv_diag: np.ndarray) -> tuple[float, int]:
+    scores = 1.0 / np.maximum(k_inv_diag, 1e-12)
+    i = int(np.argmin(scores))
+    return float(scores[i]), i
 
 
 class _Block:
@@ -72,19 +81,13 @@ class _Block:
         self.k_inv = np.zeros((0, 0))
         self.w = np.zeros(0)
         self._events = 0
+        # (x, G, K^-1) of the last rebuild and (k_inv, score, index) of
+        # most_redundant, each valid while its first entry is the live array
+        self._exact = self._redundant = (None, None, None)
 
     @property
     def n(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def k_inv(self) -> np.ndarray:
-        return self._k_inv
-
-    @k_inv.setter
-    def k_inv(self, value: np.ndarray) -> None:
-        self._k_inv = value
-        self._most_redundant = None
 
     def _refresh(self) -> None:
         if self.n == 0:
@@ -92,9 +95,11 @@ class _Block:
             self.k_inv = np.zeros((0, 0))
             self.w = np.zeros(0)
             return
-        g = self.x @ self.x.T
+        if self._exact[0] is not self.x:
+            g = self.x @ self.x.T
+            self._exact = (self.x, g, np.linalg.inv(g + self.config.jitter * np.eye(self.n)))
+        _, g, self.k_inv = self._exact
         self.a_inv = np.linalg.inv(g + self.config.sigma2 * np.diag(1.0 / self.counts))
-        self.k_inv = np.linalg.inv(g + self.config.jitter * np.eye(self.n))
         self._recompute_w()
 
     def _recompute_w(self) -> None:
@@ -107,19 +112,17 @@ class _Block:
 
     def posterior(self, x: np.ndarray, k_self: float) -> tuple[float, float]:
         """Mean and variance at ``x``, given ``k_self = x @ x``."""
-        if self.n == 0:
-            return 0.0, k_self
         k = self.x @ x
         mean = float(k @ self.w)
         var = k_self - float(k @ (self.a_inv @ k))
         return mean, max(var, 0.0)
 
+    def mean(self, x: np.ndarray) -> float:
+        return float(self.x @ x @ self.w)
+
     def novelty(self, x: np.ndarray) -> float:
-        k_self = float(x @ x) + self.config.jitter
-        if self.n == 0:
-            return k_self
         k = self.x @ x
-        return k_self - float(k @ (self.k_inv @ k))
+        return float(x @ x) + self.config.jitter - float(k @ (self.k_inv @ k))
 
     def nearest(self, x: np.ndarray) -> int:
         k = self.x @ x
@@ -131,57 +134,70 @@ class _Block:
         k_self = float(x @ x)
         self.a_inv = _bordered_inverse(self.a_inv, k, k_self + self.config.sigma2)
         self.k_inv = _bordered_inverse(self.k_inv, k, k_self + self.config.jitter)
+        self._append(x, y)
+        self._recompute_w()
+        self._tick()
+
+    def add_and_merge(self, x: np.ndarray, y: float, i: int) -> None:
+        """``add(x, y)`` then ``merge_into_nearest(i)``, where ``i == n`` is
+        x itself, without the add's updates: the merge's rebuild would
+        replace them.  Both events count toward the cadence."""
+        self._events += 1
+        if i == self.n:
+            return self._fold(x, y, 1.0)
+        self._append(x, y)
+        self.merge_into_nearest(i)
+
+    def _append(self, x: np.ndarray, y: float) -> None:
         self.x = np.vstack([self.x, x])
         self.ysum = np.append(self.ysum, y)
         self.counts = np.append(self.counts, 1.0)
-        self._recompute_w()
-        self._tick()
 
     def reinforce(self, i: int, y: float) -> None:
         n_i = self.counts[i]
         delta = self.config.sigma2 * (1.0 / (n_i + 1.0) - 1.0 / n_i)
-        col = self.a_inv[:, i].copy()
         denom = 1.0 + delta * self.a_inv[i, i]
-        if abs(denom) < 1e-12:
-            self.counts[i] += 1.0
-            self.ysum[i] += y
-            self._refresh()
-            return
-        self.a_inv = self.a_inv - (delta / denom) * np.outer(col, self.a_inv[i, :])
         self.counts[i] += 1.0
         self.ysum[i] += y
+        if abs(denom) < 1e-12:
+            return self._refresh()
+        self.a_inv = self.a_inv - (delta / denom) * np.outer(self.a_inv[:, i], self.a_inv[i, :])
         self._recompute_w()
         self._tick()
 
     def merge_into_nearest(self, i: int) -> None:
-        """Fold point i into its nearest neighbour and rebuild the block.
-
-        The rebuild replaces every maintained quantity, so the downdates
-        a removal would make first are skipped; the event still counts
-        toward the refresh cadence.
-        """
+        """Fold point i into its nearest neighbour and rebuild the block;
+        the rebuild replaces every maintained quantity, so the downdates a
+        removal would make first are skipped."""
         x_i, ysum_i, count_i = self.x[i], self.ysum[i], self.counts[i]
         keep = np.arange(self.n) != i
         self.x = self.x[keep]
         self.ysum = self.ysum[keep]
         self.counts = self.counts[keep]
-        j = self.nearest(x_i)
-        self.ysum[j] += ysum_i
-        self.counts[j] += count_i
+        self._fold(x_i, ysum_i, count_i)
+
+    def _fold(self, x: np.ndarray, ysum: float, count: float) -> None:
+        """Credit a point's targets to its nearest neighbour, whose noise
+        diagonal changes by more than one count: count the event, rebuild."""
+        j = self.nearest(x)
+        self.ysum[j] += ysum
+        self.counts[j] += count
         self._events += 1
-        # the noise diagonal of j changed by more than a single count,
-        # so rebuild this block exactly
         self._refresh()
 
-    def most_redundant(self) -> tuple[float, int]:
+    def most_redundant(self, x: np.ndarray | None = None) -> tuple[float, int]:
         """(score, index) of the point best explained by the rest of the
-        block: the lowest score, first on ties.  Kept until ``k_inv`` is
-        next assigned."""
-        if self._most_redundant is None:
-            scores = 1.0 / np.maximum(np.diag(self.k_inv), 1e-12)
-            i = int(np.argmin(scores))
-            self._most_redundant = (float(scores[i]), i)
-        return self._most_redundant
+        block: the lowest score, first on ties.  Kept while ``k_inv`` is
+        the same array.  Given x, scores the block as ``add(x, .)`` would
+        border it (n > 0; index n is x)."""
+        if x is not None:
+            k = self.x @ x
+            u = self.k_inv @ k
+            s = max(float(x @ x) + self.config.jitter - float(k @ u), 1e-12)
+            return _lowest_score(np.append(np.diag(self.k_inv) + u * u / s, 1.0 / s))
+        if self._redundant[0] is not self.k_inv:
+            self._redundant = (self.k_inv, *_lowest_score(np.diag(self.k_inv)))
+        return self._redundant[1:]
 
 
 class GPSarsaPolicy(Policy):
@@ -194,10 +210,7 @@ class GPSarsaPolicy(Policy):
         self.config = config if config is not None else GPSarsaConfig()
         self.blocks = [_Block(obs_dim, self.config) for _ in range(action_count)]
         self._pending: Transition | None = None
-
-    @property
-    def total_points(self) -> int:
-        return sum(block.n for block in self.blocks)
+        self.total_points = 0
 
     # -- acting --------------------------------------------------------------
 
@@ -209,16 +222,15 @@ class GPSarsaPolicy(Policy):
             rng: np.random.Generator,
             belief: BeliefState | None = None) -> int:
         x = np.asarray(observation, dtype=float)
-        k_self = float(x @ x)
+        legal = np.flatnonzero(mask)
         scores = np.full(self.action_count, -np.inf)
-        for a in range(self.action_count):
-            if not mask[a]:
-                continue
+        if not self.training:
+            scores[legal] = [self.blocks[a].mean(x) for a in legal]
+            return masked_argmax(scores, mask)
+        k_self = float(x @ x)
+        for a, z in zip(legal, rng.standard_normal(len(legal))):
             mean, var = self.blocks[a].posterior(x, k_self)
-            if not self.training:
-                scores[a] = mean
-            else:
-                scores[a] = mean + self.config.scale * np.sqrt(var) * rng.standard_normal()
+            scores[a] = mean + self.config.scale * np.sqrt(var) * z
         return masked_argmax(scores, mask)
 
     # -- learning ------------------------------------------------------------
@@ -226,7 +238,7 @@ class GPSarsaPolicy(Policy):
     def observe(self, transition: Transition, rng: np.random.Generator) -> None:
         if self._pending is not None:
             prev = self._pending
-            mean, _ = self.q_posterior(prev.next_observation, transition.action)
+            mean = self.blocks[transition.action].mean(prev.next_observation)
             self._ingest(prev.observation, prev.action,
                          prev.reward + self.config.gamma * mean)
             self._pending = None
@@ -243,40 +255,37 @@ class GPSarsaPolicy(Policy):
 
     def _ingest(self, observation: np.ndarray, action: int, target: float) -> None:
         x = np.asarray(observation, dtype=float)
-        block = self.blocks[action]
-        if block.n == 0 or block.novelty(x) > self.config.nu:
-            block.add(x, target)
-            self._enforce_budget()
+        target_block = self.blocks[action]
+        if target_block.n and not target_block.novelty(x) > self.config.nu:
+            return target_block.reinforce(target_block.nearest(x), target)
+        # a full budget merges the point with the lowest score once x has
+        # joined its block, the first block on a tie; blocks need two points
+        best = (None, None, None)
+        if self.total_points >= self.config.max_points:
+            for block in self.blocks:
+                if block.n >= 2 or (block is target_block and block.n):
+                    score, i = block.most_redundant(x if block is target_block else None)
+                    if best[0] is None or score < best[0]:
+                        best = (score, block, i)
+        _, block, i = best
+        if block is target_block:
+            return block.add_and_merge(x, target, i)
+        target_block.add(x, target)
+        if block is None:
+            self.total_points += 1
         else:
-            block.reinforce(block.nearest(x), target)
-
-    def _enforce_budget(self) -> None:
-        while self.total_points > self.config.max_points:
-            best: tuple[float, int, int] | None = None
-            for a, block in enumerate(self.blocks):
-                if block.n < 2:
-                    continue
-                score, i = block.most_redundant()
-                if best is None or score < best[0]:
-                    best = (score, a, i)
-            if best is None:
-                return
-            _, a, i = best
-            self.blocks[a].merge_into_nearest(i)
+            block.merge_into_nearest(i)
 
     # -- persistence ---------------------------------------------------------
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        arrays = {}
-        for a, block in enumerate(self.blocks):
-            arrays[f"x_{a}"] = block.x
-            arrays[f"ysum_{a}"] = block.ysum
-            arrays[f"counts_{a}"] = block.counts
-        return arrays
+        return {f"{name}_{a}": getattr(block, name)
+                for a, block in enumerate(self.blocks)
+                for name in ("x", "ysum", "counts")}
 
     def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         for a, block in enumerate(self.blocks):
-            block.x = arrays[f"x_{a}"]
-            block.ysum = arrays[f"ysum_{a}"]
-            block.counts = arrays[f"counts_{a}"]
+            block.x, block.ysum, block.counts = (
+                arrays[f"{name}_{a}"] for name in ("x", "ysum", "counts"))
             block._refresh()
+        self.total_points = sum(block.n for block in self.blocks)

@@ -23,6 +23,16 @@ def small_net(n_actions, seed=0, in_dim=5):
     return net
 
 
+def action_probs(policy, observation, mask):
+    """The policy's action probabilities at one observation."""
+    return masked_softmax(forward(policy.net, observation)[:-1], mask)[0]
+
+
+def value(policy, observation):
+    """The critic's value at one observation."""
+    return float(forward(policy.net, observation)[-1])
+
+
 def transition(obs, action, reward, mask, done=False):
     return Transition(np.asarray(obs, float), action, reward,
                       np.asarray(obs, float), mask, done, mask=mask)
@@ -170,7 +180,7 @@ def test_training_act_samples_from_policy():
     rng = np.random.default_rng(1)
     obs = np.array([1.0, -0.5])
     mask = np.array([True, True, False])
-    probs = policy.action_probs(obs, mask)
+    probs = action_probs(policy, obs, mask)
     counts = np.zeros(3)
     for _ in range(3000):
         counts[policy.act(obs, mask, rng)] += 1
@@ -220,7 +230,7 @@ def test_behaviour_probs_recorded_under_collection_net():
     mask = np.ones(2, dtype=bool)
     obs = np.array([0.3, 0.1, -0.2])
     a = policy.act(obs, mask, rng)
-    expected = policy.action_probs(obs, mask)[a]
+    expected = action_probs(policy, obs, mask)[a]
     policy.observe(transition(obs, a, 1.0, mask), rng)
     policy.end_dialogue(rng)
     assert policy.episodes[0].behaviour_probs[0] == pytest.approx(expected)
@@ -273,9 +283,9 @@ def test_two_armed_bandit_prefers_better_arm():
         policy.end_dialogue(rng)
     policy.begin_dialogue(0, training=False)
     assert policy.act(obs, mask, rng) == 0
-    assert policy.action_probs(obs, mask)[0] > 0.8
+    assert action_probs(policy, obs, mask)[0] > 0.8
     # the critic converged near the collected mixture's expected reward
-    assert -1.0 < policy.value(obs) <= 1.2
+    assert -1.0 < value(policy, obs) <= 1.2
 
 
 # ------------------------------------------------------------- persistence
@@ -291,9 +301,9 @@ def test_save_load_round_trip(tmp_path):
     restored = load_policy(path)
     probe = rng.random(4)
     mask = np.array([True, False, True])
-    assert np.allclose(restored.action_probs(probe, mask),
-                       policy.action_probs(probe, mask), atol=1e-12)
-    assert restored.value(probe) == pytest.approx(policy.value(probe))
+    assert np.allclose(action_probs(restored, probe, mask),
+                       action_probs(policy, probe, mask), atol=1e-12)
+    assert value(restored, probe) == pytest.approx(value(policy, probe))
 
 
 def test_load_rejects_foreign_checkpoint(tmp_path):

@@ -16,7 +16,7 @@ from dialbench.belief_tracker import init_belief, update
 from dialbench.bench_cli import main as cli_main
 from dialbench.domain import DOMAIN_CODES, generate_domain
 from dialbench.environment import DialogueEnv, list_tasks, make_task
-from dialbench.error_channel import PRESETS, corrupt, is_corrupted, params_with
+from dialbench.error_channel import PRESETS, corrupt, params_with
 from dialbench.harness import RunSpec, run_training
 from dialbench.policies import (
     A2CConfig,
@@ -37,7 +37,7 @@ from dialbench.rl_core import (
 )
 from dialbench.semantics import DialogueAct
 
-from test_error_channel import sample_acts
+from test_error_channel import is_corrupted, sample_acts
 from test_gpsarsa import dense_posterior
 from test_policies_common import (
     CORRIDOR_SETUPS,

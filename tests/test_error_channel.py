@@ -9,11 +9,16 @@ from dialbench.error_channel import (
     PRESETS,
     ErrorParams,
     corrupt,
-    is_corrupted,
     params_with,
     preset_for_env,
 )
-from dialbench.semantics import DialogueAct, serialize_act
+from dialbench.semantics import DialogueAct, NBestList, serialize_act
+
+
+def is_corrupted(nbest: NBestList, true_act: DialogueAct) -> bool:
+    """True when the channel altered the top hypothesis."""
+    top = nbest.top
+    return top is None or top.act != true_act
 
 
 @pytest.fixture(scope="module")

@@ -338,6 +338,26 @@ def test_gpsarsa_checkpoint_bytes_are_pinned(tmp_path):
         PINNED_GPSARSA_CHECKPOINT
 
 
+def test_restore_does_not_reuse_the_kept_gram_matrix():
+    """A rebuild keeps the Gram matrix and K^-1 of the block's points for
+    the next rebuild of the same points; restored points are new points."""
+    rng = np.random.default_rng(8)
+    config = GPSarsaConfig(nu=1e-6)
+    policy, donor = (GPSarsaPolicy(obs_dim=6, action_count=2, config=config)
+                     for _ in range(2))
+    for i in range(8):
+        policy._ingest(rng.random(6), i % 2, float(rng.normal()))
+        donor._ingest(rng.random(6), i % 2, float(rng.normal()))
+    for block in policy.blocks:
+        block._refresh()
+        assert block._exact[0] is block.x  # reusable for these points
+    policy.restore_arrays(donor.state_arrays())
+    for block, other in zip(policy.blocks, donor.blocks):
+        assert np.array_equal(block.x, other.x)
+        dense = np.linalg.inv(block.x @ block.x.T + config.jitter * np.eye(block.n))
+        assert block.k_inv.tobytes() == dense.tobytes()
+
+
 def test_load_rejects_foreign_checkpoint(tmp_path):
     path = tmp_path / "other.npz"
     save_checkpoint(path, "dqn", {"obs_dim": 2}, {"w": np.zeros(2)})
