@@ -267,14 +267,14 @@ class GPSarsaPolicy(Policy):
                     score, i = block.most_redundant(x if block is target_block else None)
                     if best[0] is None or score < best[0]:
                         best = (score, block, i)
-        _, block, i = best
-        if block is target_block:
-            return block.add_and_merge(x, target, i)
+        _, victim, i = best
+        if victim is target_block:
+            return victim.add_and_merge(x, target, i)
         target_block.add(x, target)
-        if block is None:
+        if victim is None:
             self.total_points += 1
         else:
-            block.merge_into_nearest(i)
+            victim.merge_into_nearest(i)
 
     # -- persistence ---------------------------------------------------------
 
