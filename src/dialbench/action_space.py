@@ -19,11 +19,12 @@ import numpy as np
 
 from dialbench.belief_tracker import (
     DONTCARE_IDX,
+    REQUESTED_THRESHOLD,
     VALUE_OFFSET,
     BeliefState,
-    method_top,
+    layout_for,
 )
-from dialbench.domain import DONTCARE, Ontology, query
+from dialbench.domain import DONTCARE, Ontology
 from dialbench.semantics import DialogueAct
 
 SLOT_INDEPENDENT = (
@@ -38,7 +39,6 @@ PER_SLOT = ("request", "confirm", "select")
 # Threshold above which a slot is considered settled and further requests
 # for it are masked out.
 REQUEST_SETTLED = 0.99
-REQUESTED_THRESHOLD = 0.5
 OFFERED_THRESHOLD = 0.5
 
 
@@ -76,9 +76,9 @@ def compute_mask(belief: BeliefState, ontology: Ontology,
     if not masks_enabled:
         return legal
 
-    method = method_top(belief)
+    method = belief.method_top
     legal[0] = method == "byconstraints"
-    legal[1] = bool(np.any(belief.requested > REQUESTED_THRESHOLD))
+    legal[1] = belief.any_requested
     legal[2] = method == "byalternatives" or belief.entity_offered > OFFERED_THRESHOLD
     # indices 3 (bye) and 4 (reqmore) always stay legal
 
@@ -90,30 +90,10 @@ def compute_mask(belief: BeliefState, ontology: Ontology,
     return legal
 
 
-def _top_constraints(belief: BeliefState, ontology: Ontology) -> dict[str, str]:
-    """Constraint dict from per-slot belief tops; none/dontcare drop out."""
-    return {slot.name: slot.values[idx - VALUE_OFFSET]
-            for slot, idx in zip(ontology.constraint_slots,
-                                 belief.slot_summary.top.tolist())
-            if idx >= VALUE_OFFSET}
-
-
-def _offer_items(entity, constraints: dict[str, str],
-                 ontology: Ontology) -> tuple[tuple[str, str], ...]:
-    items = [("name", entity.id)]
-    for slot in ontology.constraint_slots:
-        if slot.name in constraints:
-            items.append((slot.name, entity.attributes[slot.name]))
-    return tuple(items)
-
-
-def _nomatch_items(constraints: dict[str, str], ontology: Ontology
-                   ) -> tuple[tuple[str, str], ...]:
-    items = [("name", "none")]
-    for slot in ontology.constraint_slots:
-        if slot.name in constraints:
-            items.append((slot.name, constraints[slot.name]))
-    return tuple(items)
+def _offer_items(entity, constraints: tuple[tuple[str, str], ...]
+                 ) -> tuple[tuple[str, str], ...]:
+    return (("name", entity.id),
+            *((slot, entity.attributes[slot]) for slot, _ in constraints))
 
 
 def summary_to_master(action: SummaryAction, belief: BeliefState,
@@ -133,49 +113,38 @@ def summary_to_master(action: SummaryAction, belief: BeliefState,
         return DialogueAct("request", ((action.slot, None),))
 
     if action.kind in ("confirm", "select"):
-        slot = ontology.slot_by_name[action.slot]
-        dist = belief.slot_beliefs[action.slot]
+        values = ontology.slot_by_name[action.slot].values
+        dist = belief.vector[layout_for(ontology).slot_slices[action.slot]]
         order = np.argsort(-dist[DONTCARE_IDX:], kind="stable") + DONTCARE_IDX
-        labels = []
-        for idx in order:
-            labels.append(
-                DONTCARE if idx == DONTCARE_IDX else slot.values[idx - VALUE_OFFSET]
-            )
-        if action.kind == "confirm":
-            return DialogueAct("confirm", ((action.slot, labels[0]),))
-        picked = labels[: min(2, len(labels))]
-        return DialogueAct("select", tuple((action.slot, v) for v in picked))
+        labels = [DONTCARE if idx == DONTCARE_IDX else values[idx - VALUE_OFFSET]
+                  for idx in order[:1 if action.kind == "confirm" else 2].tolist()]
+        return DialogueAct(action.kind, tuple((action.slot, v) for v in labels))
 
-    constraints = _top_constraints(belief, ontology)
-
+    constraints = belief.top_constraints
     if action.kind == "inform_requested" and belief.offered_entity_id in (
         ontology.entity_by_id
     ):
         entity = ontology.entity_by_id[belief.offered_entity_id]
-        asked = [
-            slot.name
-            for i, slot in enumerate(ontology.requestable_slots)
-            if belief.requested[i] > REQUESTED_THRESHOLD
-        ]
-        if not asked:
-            order = np.argsort(-belief.requested, kind="stable")
-            asked = [ontology.requestable_slots[int(order[0])].name]
+        if belief.any_requested:
+            asked = [slot.name for slot, prob in zip(ontology.requestable_slots,
+                                                     belief.requested.tolist())
+                     if prob > REQUESTED_THRESHOLD]
+        else:
+            # argmax is the first of the most probable, as a stable sort's
+            asked = [ontology.requestable_slots[belief.requested.argmax()].name]
         items = [("name", entity.id)]
         items.extend((s, entity.attributes[s]) for s in asked)
         return DialogueAct("inform_requested", tuple(items))
 
     if action.kind == "inform_alternatives":
-        matches = query(ontology, constraints)
-        alternatives = [e for e in matches if e.id != belief.offered_entity_id]
-        if alternatives:
-            return DialogueAct(
-                "inform_alternatives",
-                _offer_items(alternatives[0], constraints, ontology),
-            )
-        return DialogueAct("inform_alternatives", _nomatch_items(constraints, ontology))
+        alternative = next((e for e in belief.matches
+                            if e.id != belief.offered_entity_id), None)
+        if alternative is not None:
+            return DialogueAct("inform_alternatives",
+                               _offer_items(alternative, constraints))
+        return DialogueAct("inform_alternatives", (("name", "none"), *constraints))
 
     # inform_byconstraints, and the inform_requested fallback
-    matches = query(ontology, constraints)
-    if matches:
-        return DialogueAct("inform", _offer_items(matches[0], constraints, ontology))
-    return DialogueAct("inform", _nomatch_items(constraints, ontology))
+    if belief.matches:
+        return DialogueAct("inform", _offer_items(belief.matches[0], constraints))
+    return DialogueAct("inform", (("name", "none"), *constraints))

@@ -14,11 +14,12 @@ user has asked for, and two discourse flags.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from dialbench.domain import DONTCARE, Ontology
+from dialbench.domain import DONTCARE, Entity, Ontology, query
 from dialbench.semantics import DialogueAct, NBestList
 
 METHOD_VALUES = ("none", "byconstraints", "byname", "byalternatives", "finished")
@@ -27,6 +28,9 @@ METHOD_VALUES = ("none", "byconstraints", "byname", "byalternatives", "finished"
 NONE_IDX = 0
 DONTCARE_IDX = 1
 VALUE_OFFSET = 2
+
+# A requestable slot counts as asked for above this probability.
+REQUESTED_THRESHOLD = 0.5
 
 _SYSTEM_INFORM_ACTS = frozenset(
     {"inform", "inform_byname", "inform_alternatives", "inform_requested"}
@@ -45,52 +49,70 @@ class BeliefState:
     """Snapshot of the tracked state; never mutated.
 
     The numbers live in one read-only float64 ``vector`` in ``flatten``
-    order.  ``slot_beliefs``, ``method`` and ``requested`` are views into
-    it, and the two discourse flags are its last two entries.  The vector
-    is a view of ``padded``, which carries one more entry, a ``-1.0``
-    sentinel that the layout's gather matrix uses as padding.
-    """
+    order.  ``method`` and ``requested`` are views into it, and the two
+    discourse flags are its last two entries.  The vector is a view of
+    ``padded``, which carries one more entry, a ``-1.0`` sentinel that the
+    layout's gather matrix uses as padding.
 
-    __slots__ = ("padded", "vector", "slot_beliefs", "method", "requested",
-                 "offered_entity_id", "last_system_act", "_layout",
-                 "_summary")
+    What the mask, the handcrafted rules and the grounding read of a
+    belief (its slot summary, method top, whether anything is requested,
+    its top constraints and the entities matching them) is worked out on
+    first use and kept; the belief never changes, so none of it can go
+    stale.
+    """
 
     def __init__(self, padded: np.ndarray, layout: _Layout,
                  offered_entity_id: str | None, last_system_act: DialogueAct):
         padded.flags.writeable = False
         self.padded = padded
         self.vector = vector = padded[:-1]
-        self.slot_beliefs = {name: vector[sl]
-                             for name, sl in layout.slot_slices.items()}
         self.method = vector[layout.method_slice]
         self.requested = vector[layout.requested_slice]  # requestable_slots order
         self.offered_entity_id = offered_entity_id
         self.last_system_act = last_system_act
         self._layout = layout
-        self._summary = None
 
     @property
     def entity_offered(self) -> float:
         return float(self.vector[-2])
 
-    @property
-    def last_user_act_null(self) -> bool:
-        return bool(self.vector[-1])
-
-    @property
+    @cached_property
     def slot_summary(self) -> SlotSummary:
-        """Per-slot tops and best non-none probabilities, worked out on
-        first use and kept, since the belief never changes."""
-        if self._summary is None:
-            self._summary = summarise_slots(self.padded, self._layout)
-        return self._summary
+        """Per-slot tops and best non-none probabilities."""
+        return summarise_slots(self.padded, self._layout)
+
+    @cached_property
+    def method_top(self) -> str:
+        return METHOD_VALUES[self.method.argmax()]
+
+    @cached_property
+    def any_requested(self) -> bool:
+        return bool((self.requested > REQUESTED_THRESHOLD).any())
+
+    @cached_property
+    def top_constraints(self) -> tuple[tuple[str, str], ...]:
+        """(slot, value) for each constraint slot, in ontology order, whose
+        top entry is a value; none and dontcare drop out."""
+        lay = self._layout
+        return tuple((name, values[idx - VALUE_OFFSET])
+                     for name, values, idx in zip(lay.constraint_names,
+                                                  lay.constraint_values,
+                                                  self.slot_summary.top.tolist())
+                     if idx >= VALUE_OFFSET)
+
+    @cached_property
+    def matches(self) -> tuple[Entity, ...]:
+        """The entities matching the top constraints, ordered by id."""
+        return query(self._layout.ontology, dict(self.top_constraints))
 
 
 class _Layout:
     """Per-ontology index maps and slices of the belief vector."""
 
     def __init__(self, ontology: Ontology):
+        self.ontology = ontology    # a belief's matches query it
         self.constraint_names = [s.name for s in ontology.constraint_slots]
+        self.constraint_values = [s.values for s in ontology.constraint_slots]
         self.value_index = {
             s.name: {v: VALUE_OFFSET + i for i, v in enumerate(s.values)}
             for s in ontology.constraint_slots
@@ -177,8 +199,8 @@ def _focus(prior: np.ndarray, evidence: np.ndarray) -> np.ndarray:
     if mass > 1.0:
         evidence = evidence / mass
         mass = 1.0
+    # every term is >= 0, so nothing needs clipping
     out = evidence + (1.0 - mass) * prior
-    np.clip(out, 0.0, None, out=out)
     return out / out.sum()
 
 
@@ -256,11 +278,11 @@ def update(belief: BeliefState, nbest: NBestList, system_act: DialogueAct,
 
     has_evidence = np.logical_or.reduceat(
         evidence[:lay.method_slice.stop] != 0, lay.focus_starts)
-    for k in np.flatnonzero(has_evidence).tolist():
+    for k in has_evidence.nonzero()[0].tolist():
         sl = lay.focus_slices[k]
         vec[sl] = _focus(vec[sl], evidence[sl])
 
-    for r_idx, conf in enumerate(request_evidence):
+    for r_idx, conf in enumerate(request_evidence.tolist()):
         if conf > 0.0:
             c = min(conf, 1.0)
             requested[r_idx] = c + (1.0 - c) * requested[r_idx]
@@ -268,10 +290,6 @@ def update(belief: BeliefState, nbest: NBestList, system_act: DialogueAct,
     top = nbest.top
     vec[-1] = top is None or top.act.act_type == "null"
     return BeliefState(padded, lay, offered_id, system_act)
-
-
-def method_top(belief: BeliefState) -> str:
-    return METHOD_VALUES[int(np.argmax(belief.method))]
 
 
 def flatten(belief: BeliefState, ontology: Ontology) -> np.ndarray:

@@ -82,6 +82,7 @@ class Ontology:
     # Derived lookups, built once in __post_init__.
     slot_by_name: dict[str, SlotDef] = field(init=False, repr=False)
     entity_by_id: dict[str, Entity] = field(init=False, repr=False)
+    sorted_entities: tuple[Entity, ...] = field(init=False, repr=False)  # by id
     _value_index: dict[tuple[str, str], frozenset[str]] = field(init=False, repr=False)
     constraint_slots: tuple[SlotDef, ...] = field(init=False, repr=False)
     requestable_slots: tuple[SlotDef, ...] = field(init=False, repr=False)
@@ -99,6 +100,7 @@ class Ontology:
         self.entity_by_id = {e.id: e for e in self.entities}
         if len(self.entity_by_id) != len(self.entities):
             raise ConfigurationError("duplicate entity ids")
+        self.sorted_entities = tuple(sorted(self.entities, key=lambda e: e.id))
         for ent in self.entities:
             for slot in self.slots:
                 value = ent.attributes.get(slot.name)
@@ -173,25 +175,6 @@ def _check_counts(ontology: Ontology) -> None:
         )
 
 
-def save_ontology(ontology: Ontology, path: str | Path) -> None:
-    payload = {
-        "code": ontology.code,
-        "slots": [
-            {
-                "name": s.name,
-                "values": list(s.values),
-                "is_constraint": s.is_constraint,
-                "is_requestable": s.is_requestable,
-            }
-            for s in ontology.slots
-        ],
-        "entities": [
-            {"id": e.id, "attributes": dict(e.attributes)} for e in ontology.entities
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True))
-
-
 def load_ontology(path: str | Path) -> Ontology:
     """Load an ontology file, validating structure and standard counts."""
     try:
@@ -221,7 +204,7 @@ def load_ontology(path: str | Path) -> Ontology:
     return ontology
 
 
-def query(ontology: Ontology, constraints: dict[str, str]) -> list[Entity]:
+def query(ontology: Ontology, constraints: dict[str, str]) -> tuple[Entity, ...]:
     """Entities matching every constraint, ordered by id.
 
     Constraint slots must exist and be flagged is_constraint; a dontcare
@@ -238,7 +221,8 @@ def query(ontology: Ontology, constraints: dict[str, str]) -> list[Entity]:
         ids = ontology._value_index.get((slot_name, value), frozenset())
         matched = ids if matched is None else (matched & ids)
         if not matched:
-            return []
+            return ()
     if matched is None:
-        return sorted(ontology.entities, key=lambda e: e.id)
-    return sorted((ontology.entity_by_id[i] for i in matched), key=lambda e: e.id)
+        return ontology.sorted_entities
+    # ids are unique, so their order is the entities' order by id
+    return tuple(ontology.entity_by_id[i] for i in sorted(matched))

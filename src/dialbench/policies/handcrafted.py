@@ -19,14 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dialbench.action_space import (
-    OFFERED_THRESHOLD,
-    REQUESTED_THRESHOLD,
-    build_action_set,
-    _top_constraints,
-)
-from dialbench.belief_tracker import BeliefState, method_top
-from dialbench.domain import Ontology, query
+from dialbench.action_space import OFFERED_THRESHOLD, build_action_set
+from dialbench.belief_tracker import BeliefState
+from dialbench.domain import Ontology
 from dialbench.policies.base import Policy
 
 CONFIRM_LOW = 0.3
@@ -67,32 +62,27 @@ class HandcraftedPolicy(Policy):
     def _candidates(self, belief: BeliefState):
         ontology = self.ontology
 
-        if (
-            np.any(belief.requested > REQUESTED_THRESHOLD)
-            and belief.entity_offered > OFFERED_THRESHOLD
-        ):
+        if belief.any_requested and belief.entity_offered > OFFERED_THRESHOLD:
             yield self._idx("inform_requested")
 
-        if method_top(belief) == "byalternatives":
+        if belief.method_top == "byalternatives":
             yield self._idx("inform_alternatives")
 
         # rules 3 and 4 take the first slot in ontology order on ties
         slots = belief.slot_summary
-        unsure = np.flatnonzero((slots.best >= CONFIRM_LOW)
-                                & (slots.best < CONFIRM_HIGH))
+        unsure = ((slots.best >= CONFIRM_LOW)
+                  & (slots.best < CONFIRM_HIGH)).nonzero()[0]
         if unsure.size:
             yield self._idx("confirm", ontology.constraint_slots[unsure[0]].name)
 
-        unknown = np.flatnonzero(slots.none_top | (slots.best < CONFIRM_LOW))
-        if unknown.size:
-            matches = query(ontology, _top_constraints(belief, ontology))
-            if len(matches) > self.config.entity_threshold:
-                least = unknown[np.argmin(slots.best[unknown])]
-                yield self._idx("request", ontology.constraint_slots[least].name)
+        unknown = (slots.none_top | (slots.best < CONFIRM_LOW)).nonzero()[0]
+        if unknown.size and len(belief.matches) > self.config.entity_threshold:
+            least = unknown[slots.best[unknown].argmin()]
+            yield self._idx("request", ontology.constraint_slots[least].name)
 
         yield self._idx("inform_byconstraints")
 
-        if method_top(belief) == "finished":
+        if belief.method_top == "finished":
             yield self._idx("bye")
 
         yield self._idx("reqmore")

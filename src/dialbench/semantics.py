@@ -7,7 +7,6 @@ form is ``acttype(slot=value,slot2=value2)``; request items carry no value
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 ACT_TYPES = (
@@ -34,18 +33,9 @@ NO_ITEM_ACTS = frozenset(
     {"hello", "bye", "reqmore", "affirm", "negate", "repeat", "null", "reqalts"}
 )
 
-_NAME_RE = re.compile(r"[a-z_][a-z0-9_]*")
-_VALUE_RE = re.compile(r"[A-Za-z0-9_]+")
-
 # Tolerance used when checking that hypothesis confidences plus the
 # residual sum to one.
 MASS_TOL = 1e-9
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
 
 
 @dataclass(frozen=True)
@@ -85,45 +75,6 @@ def serialize_act(act: DialogueAct) -> str:
     for slot, value in act.items:
         parts.append(slot if value is None else f"{slot}={value}")
     return f"{act.act_type}({','.join(parts)})"
-
-
-def parse_act(text: str) -> DialogueAct:
-    """Parse the canonical text form back into an act.
-
-    Raises ParseError carrying the offending position.
-    """
-    open_paren = text.find("(")
-    if open_paren < 0:
-        raise ParseError("missing '('", len(text))
-    act_type = text[:open_paren]
-    if act_type not in ACT_TYPES:
-        raise ParseError(f"unknown act type {act_type!r}", 0)
-    if not text.endswith(")"):
-        raise ParseError("missing ')'", len(text))
-    body = text[open_paren + 1 : -1]
-    if not body:
-        return DialogueAct(act_type)
-    items: list[tuple[str, str | None]] = []
-    pos = open_paren + 1
-    for chunk in body.split(","):
-        if not chunk:
-            raise ParseError("empty item", pos)
-        if "=" in chunk:
-            slot, _, value = chunk.partition("=")
-            if not _NAME_RE.fullmatch(slot):
-                raise ParseError(f"bad slot name {slot!r}", pos)
-            if not _VALUE_RE.fullmatch(value):
-                raise ParseError(f"bad value {value!r}", pos + len(slot) + 1)
-            items.append((slot, value))
-        else:
-            if not _NAME_RE.fullmatch(chunk):
-                raise ParseError(f"bad slot name {chunk!r}", pos)
-            items.append((chunk, None))
-        pos += len(chunk) + 1
-    try:
-        return DialogueAct(act_type, tuple(items))
-    except ValueError as exc:
-        raise ParseError(str(exc), open_paren + 1) from exc
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ and every requested slot of an accepted entity must have been informed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,18 @@ class ProfileDistribution:
             if name not in _INT_PARAMS and not (0.0 <= lo and hi <= 1.0):
                 raise ValueError(f"{name}: probability interval outside [0, 1]")
 
+    @cached_property
+    def rows(self) -> tuple[tuple[str, bool, float, float], ...]:
+        """(name, is_int, low, high) per parameter, in ``PARAM_NAMES``
+        order; an integer's high is exclusive."""
+        rows = []
+        for name in PARAM_NAMES:
+            lo, hi = self.intervals[name]
+            is_int = name in _INT_PARAMS
+            rows.append((name, True, int(lo), int(hi) + 1) if is_int
+                        else (name, False, float(lo), float(hi)))
+        return tuple(rows)
+
 
 STANDARD_PROFILE = ProfileDistribution(
     "standard",
@@ -143,13 +156,15 @@ PROFILES = {"standard": STANDARD_PROFILE, "unfriendly": UNFRIENDLY_PROFILE}
 
 
 def sample_params(profile: ProfileDistribution, rng: np.random.Generator) -> UserParams:
+    """One profile, drawn in ``PARAM_NAMES`` order.  A probability is
+    ``low + (high - low) * rng.random()``, the draw and the arithmetic of
+    ``rng.uniform(low, high)``."""
     drawn = {}
-    for name in PARAM_NAMES:
-        lo, hi = profile.intervals[name]
-        if name in _INT_PARAMS:
-            drawn[name] = int(rng.integers(int(lo), int(hi) + 1))
+    for name, is_int, lo, hi in profile.rows:
+        if is_int:
+            drawn[name] = int(rng.integers(lo, hi))
         else:
-            drawn[name] = float(rng.uniform(lo, hi))
+            drawn[name] = lo + (hi - lo) * rng.random()
     return UserParams(**drawn)
 
 

@@ -37,6 +37,7 @@ from dialbench.rl_core import (
 )
 from dialbench.semantics import DialogueAct
 
+from test_belief_tracker import slot_beliefs
 from test_error_channel import is_corrupted, sample_acts
 from test_gpsarsa import dense_posterior
 from test_policies_common import (
@@ -126,7 +127,7 @@ def test_04_belief_normalization():
         act = sample_acts(ontology, rng, 1)[0]
         nbest = corrupt(act, params, ontology, rng)
         belief = update(belief, nbest, hello, ontology)
-        for dist in belief.slot_beliefs.values():
+        for dist in slot_beliefs(belief).values():
             assert abs(float(dist.sum()) - 1.0) < 1e-9
         assert abs(float(belief.method.sum()) - 1.0) < 1e-9
 

@@ -13,7 +13,6 @@ from dialbench.belief_tracker import (
     flatten,
     init_belief,
     layout_for,
-    method_top,
     update,
 )
 from dialbench.domain import DONTCARE, generate_domain
@@ -23,6 +22,17 @@ from dialbench.semantics import DialogueAct, NBestList, ScoredHypothesis
 @pytest.fixture(scope="module")
 def ontology():
     return generate_domain("CR")
+
+
+def slot_beliefs(belief):
+    """Each constraint slot's distribution, a read-only view into the
+    belief's vector."""
+    return {name: belief.vector[sl]
+            for name, sl in belief._layout.slot_slices.items()}
+
+
+def last_user_act_null(belief):
+    return bool(belief.vector[-1])
 
 
 def nbest_of(*pairs, residual=None):
@@ -44,10 +54,10 @@ def test_dims_ordered_across_domains():
 def test_init_belief_shape(ontology):
     belief = init_belief(ontology)
     lay = layout_for(ontology)
-    for name, dist in belief.slot_beliefs.items():
+    for name, dist in slot_beliefs(belief).items():
         assert dist.shape == (lay.slot_dims[name],)
         assert dist[NONE_IDX] == 1.0
-    assert method_top(belief) == "none"
+    assert belief.method_top == "none"
     assert belief.entity_offered == 0.0
 
 
@@ -57,7 +67,7 @@ def test_single_inform_puts_confidence_on_value(ontology):
     belief = init_belief(ontology)
     belief = update(belief, nbest_of(inform(slot.name, value, 0.7)),
                     DialogueAct("hello"), ontology)
-    dist = belief.slot_beliefs[slot.name]
+    dist = slot_beliefs(belief)[slot.name]
     idx = layout_for(ontology).value_index[slot.name][value]
     assert dist[idx] == pytest.approx(0.7, abs=1e-12)
     assert dist[NONE_IDX] == pytest.approx(0.3, abs=1e-12)
@@ -71,7 +81,7 @@ def test_two_half_confidence_informs_compound(ontology):
         belief = update(belief, nbest_of(inform(slot.name, value, 0.5)),
                         DialogueAct("hello"), ontology)
     idx = layout_for(ontology).value_index[slot.name][value]
-    assert belief.slot_beliefs[slot.name][idx] == pytest.approx(0.75, abs=1e-12)
+    assert slot_beliefs(belief)[slot.name][idx] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_focus_replaces_competing_value(ontology):
@@ -83,7 +93,7 @@ def test_focus_replaces_competing_value(ontology):
     belief = update(belief, nbest_of(inform(slot.name, v2, 1.0)),
                     DialogueAct("hello"), ontology)
     lay = layout_for(ontology)
-    dist = belief.slot_beliefs[slot.name]
+    dist = slot_beliefs(belief)[slot.name]
     assert dist[lay.value_index[slot.name][v2]] == pytest.approx(1.0)
     assert dist[lay.value_index[slot.name][v1]] == pytest.approx(0.0)
 
@@ -93,7 +103,7 @@ def test_dontcare_is_trackable(ontology):
     belief = init_belief(ontology)
     belief = update(belief, nbest_of(inform(slot.name, DONTCARE, 0.9)),
                     DialogueAct("hello"), ontology)
-    assert belief.slot_beliefs[slot.name][DONTCARE_IDX] == pytest.approx(0.9)
+    assert slot_beliefs(belief)[slot.name][DONTCARE_IDX] == pytest.approx(0.9)
     # dontcare counts as the best entry other than none
     assert belief.slot_summary.best[1] == pytest.approx(0.9)
 
@@ -112,7 +122,7 @@ def test_normalization_under_fuzz(ontology):
                                   inform(slot.name, other, c2)],
                                  key=lambda p: -p[1]))
         belief = update(belief, nbest, DialogueAct("hello"), ontology)
-        for dist in belief.slot_beliefs.values():
+        for dist in slot_beliefs(belief).values():
             assert abs(dist.sum() - 1.0) < 1e-9
         assert abs(belief.method.sum() - 1.0) < 1e-9
 
@@ -122,7 +132,7 @@ def test_method_byname_on_name_inform(ontology):
     entity = ontology.entities[0]
     nbest = nbest_of((DialogueAct("inform", (("name", entity.id),)), 0.9))
     belief = update(belief, nbest, DialogueAct("hello"), ontology)
-    assert method_top(belief) == "byname"
+    assert belief.method_top == "byname"
 
 
 def test_method_byconstraints_on_slot_inform(ontology):
@@ -130,21 +140,21 @@ def test_method_byconstraints_on_slot_inform(ontology):
     belief = init_belief(ontology)
     belief = update(belief, nbest_of(inform(slot.name, slot.values[0], 0.8)),
                     DialogueAct("hello"), ontology)
-    assert method_top(belief) == "byconstraints"
+    assert belief.method_top == "byconstraints"
 
 
 def test_method_byalternatives_on_reqalts(ontology):
     belief = init_belief(ontology)
     belief = update(belief, nbest_of((DialogueAct("reqalts"), 0.9)),
                     DialogueAct("hello"), ontology)
-    assert method_top(belief) == "byalternatives"
+    assert belief.method_top == "byalternatives"
 
 
 def test_method_finished_on_bye(ontology):
     belief = init_belief(ontology)
     belief = update(belief, nbest_of((DialogueAct("bye"), 1.0)),
                     DialogueAct("hello"), ontology)
-    assert method_top(belief) == "finished"
+    assert belief.method_top == "finished"
 
 
 def test_request_raises_requested_flag(ontology):
@@ -182,7 +192,7 @@ def test_negate_after_confirm_routes_to_none(ontology):
     confirm = DialogueAct("confirm", ((slot.name, value),))
     belief = update(belief, nbest_of((DialogueAct("negate"), 1.0)),
                     confirm, ontology)
-    dist = belief.slot_beliefs[slot.name]
+    dist = slot_beliefs(belief)[slot.name]
     assert dist[NONE_IDX] == pytest.approx(1.0)
 
 
@@ -194,7 +204,7 @@ def test_affirm_after_confirm_boosts_value(ontology):
     belief = update(belief, nbest_of((DialogueAct("affirm"), 0.9)),
                     confirm, ontology)
     idx = layout_for(ontology).value_index[slot.name][value]
-    assert belief.slot_beliefs[slot.name][idx] == pytest.approx(0.9)
+    assert slot_beliefs(belief)[slot.name][idx] == pytest.approx(0.9)
 
 
 def test_deny_routes_mass_to_none(ontology):
@@ -205,7 +215,7 @@ def test_deny_routes_mass_to_none(ontology):
                     DialogueAct("hello"), ontology)
     deny = nbest_of((DialogueAct("deny", ((slot.name, value),)), 1.0))
     belief = update(belief, deny, DialogueAct("hello"), ontology)
-    dist = belief.slot_beliefs[slot.name]
+    dist = slot_beliefs(belief)[slot.name]
     assert dist[NONE_IDX] == pytest.approx(1.0)
 
 
@@ -213,10 +223,10 @@ def test_null_observation_flag(ontology):
     belief = init_belief(ontology)
     belief = update(belief, NBestList((), residual=1.0),
                     DialogueAct("hello"), ontology)
-    assert belief.last_user_act_null
+    assert last_user_act_null(belief)
     belief = update(belief, nbest_of((DialogueAct("affirm"), 0.6)),
                     DialogueAct("hello"), ontology)
-    assert not belief.last_user_act_null
+    assert not last_user_act_null(belief)
 
 
 def test_flatten_shape_and_order(ontology):
@@ -230,13 +240,13 @@ def test_flatten_shape_and_order(ontology):
     for slot in ontology.constraint_slots:
         width = lay.slot_dims[slot.name]
         section = vec[offset:offset + width]
-        assert np.allclose(section, belief.slot_beliefs[slot.name])
+        assert np.allclose(section, slot_beliefs(belief)[slot.name])
         offset += width
     assert np.allclose(vec[offset:offset + len(METHOD_VALUES)], belief.method)
     offset += len(METHOD_VALUES)
     offset += len(lay.requestable_index)
     assert vec[offset] == belief.entity_offered
-    assert vec[offset + 1] == float(belief.last_user_act_null)
+    assert vec[offset + 1] == float(last_user_act_null(belief))
 
 
 def test_flatten_dim_matches_helper(ontology):
@@ -247,10 +257,10 @@ def test_flatten_dim_matches_helper(ontology):
 def test_update_does_not_mutate_input(ontology):
     slot = ontology.constraint_slots[0]
     belief = init_belief(ontology)
-    before = {k: v.copy() for k, v in belief.slot_beliefs.items()}
+    before = {k: v.copy() for k, v in slot_beliefs(belief).items()}
     update(belief, nbest_of(inform(slot.name, slot.values[0], 0.5)),
            DialogueAct("hello"), ontology)
-    for k, v in belief.slot_beliefs.items():
+    for k, v in slot_beliefs(belief).items():
         assert np.array_equal(v, before[k])
 
 
@@ -280,6 +290,6 @@ def test_belief_is_read_only(ontology):
     with pytest.raises(ValueError):
         flatten(belief, ontology)[0] = 0.5
     with pytest.raises(ValueError):
-        belief.slot_beliefs[slot.name][NONE_IDX] = 0.5
+        slot_beliefs(belief)[slot.name][NONE_IDX] = 0.5
     with pytest.raises(ValueError):
         belief.requested[0] = 1.0

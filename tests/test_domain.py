@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +14,29 @@ from dialbench.domain import (
     generate_domain,
     load_ontology,
     query,
-    save_ontology,
 )
 
 EXPECTED = {"CR": (3, 9, 268), "SFR": (6, 11, 636), "LAP": (11, 21, 257)}
+
+
+def save_ontology(ontology: Ontology, path: str | Path) -> None:
+    """Write an ontology in the file format ``load_ontology`` reads."""
+    payload = {
+        "code": ontology.code,
+        "slots": [
+            {
+                "name": s.name,
+                "values": list(s.values),
+                "is_constraint": s.is_constraint,
+                "is_requestable": s.is_requestable,
+            }
+            for s in ontology.slots
+        ],
+        "entities": [
+            {"id": e.id, "attributes": dict(e.attributes)} for e in ontology.entities
+        ],
+    }
+    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True))
 
 
 @pytest.fixture(scope="module", params=DOMAIN_CODES)

@@ -22,16 +22,15 @@ from dialbench.error_channel import (
     params_with,
 )
 from dialbench.semantics import (
-    _NAME_RE,
-    _VALUE_RE,
     ACT_TYPES,
     NO_ITEM_ACTS,
     DialogueAct,
     NBestList,
     ScoredHypothesis,
-    parse_act,
     serialize_act,
 )
+
+from test_semantics import _NAME_RE, _VALUE_RE, parse_act
 
 # ------------------------------------------------------------ references
 

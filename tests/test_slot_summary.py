@@ -1,7 +1,7 @@
 """The per-slot belief summary against the per-slot loops it replaced.
 
 The reference functions below are the loops that ``compute_mask``, the
-handcrafted rules 3 and 4 and ``_top_constraints`` ran before they read
+handcrafted rules 3 and 4 and the top constraints ran before they read
 ``BeliefState.slot_summary``.  Only argmax, max and comparisons moved into
 the summary, so every result must be equal, not close.
 """
@@ -13,7 +13,6 @@ from dialbench import action_space, belief_tracker, environment
 from dialbench.action_space import (
     REQUEST_SETTLED,
     SLOT_INDEPENDENT,
-    _top_constraints,
     build_action_set,
     compute_mask,
     summary_to_master,
@@ -24,14 +23,15 @@ from dialbench.belief_tracker import (
     VALUE_OFFSET,
     BeliefState,
     layout_for,
-    method_top,
 )
 from dialbench.domain import generate_domain, query
 from dialbench.environment import DialogueEnv, make_task
 from dialbench.policies import HandcraftedPolicy
-from dialbench.policies import handcrafted
 from dialbench.policies.handcrafted import CONFIRM_HIGH, CONFIRM_LOW
 from dialbench.semantics import DialogueAct
+
+from test_belief_tracker import slot_beliefs
+from test_env_turn_reference import ref_method_top, ref_summary_to_master
 
 # ------------------------------------------------------------ references
 
@@ -40,14 +40,14 @@ def reference_mask(belief, ontology, masks_enabled=True):
     legal = np.ones(len(SLOT_INDEPENDENT) + 3 * ontology.n_constraint, dtype=bool)
     if not masks_enabled:
         return legal
-    method = method_top(belief)
+    method = ref_method_top(belief)
     legal[0] = method == "byconstraints"
     legal[1] = bool(np.any(belief.requested > action_space.REQUESTED_THRESHOLD))
     legal[2] = (method == "byalternatives"
                 or belief.entity_offered > action_space.OFFERED_THRESHOLD)
     base = len(SLOT_INDEPENDENT)
     for k, slot in enumerate(ontology.constraint_slots):
-        dist = belief.slot_beliefs[slot.name]
+        dist = slot_beliefs(belief)[slot.name]
         none_is_top = int(np.argmax(dist)) == NONE_IDX
         settled = float(dist[DONTCARE_IDX:].max()) > REQUEST_SETTLED
         legal[base + 3 * k + 0] = not settled
@@ -59,7 +59,7 @@ def reference_mask(belief, ontology, masks_enabled=True):
 def reference_top_constraints(belief, ontology):
     constraints = {}
     for slot in ontology.constraint_slots:
-        dist = belief.slot_beliefs[slot.name]
+        dist = slot_beliefs(belief)[slot.name]
         idx = int(np.argmax(dist))
         if idx >= VALUE_OFFSET:
             constraints[slot.name] = slot.values[idx - VALUE_OFFSET]
@@ -71,28 +71,28 @@ def reference_candidates(policy, belief):
     if (np.any(belief.requested > action_space.REQUESTED_THRESHOLD)
             and belief.entity_offered > action_space.OFFERED_THRESHOLD):
         yield policy._idx("inform_requested")
-    if method_top(belief) == "byalternatives":
+    if ref_method_top(belief) == "byalternatives":
         yield policy._idx("inform_alternatives")
     for slot in ontology.constraint_slots:
         # best entry other than none; dontcare counts as an entry
-        prob = float(belief.slot_beliefs[slot.name][DONTCARE_IDX:].max())
+        prob = float(slot_beliefs(belief)[slot.name][DONTCARE_IDX:].max())
         if CONFIRM_LOW <= prob < CONFIRM_HIGH:
             yield policy._idx("confirm", slot.name)
             break
     unknown = []
     for slot in ontology.constraint_slots:
-        dist = belief.slot_beliefs[slot.name]
+        dist = slot_beliefs(belief)[slot.name]
         prob = float(dist[DONTCARE_IDX:].max())
         if int(np.argmax(dist)) == NONE_IDX or prob < CONFIRM_LOW:
             unknown.append((prob, slot.name))
     if unknown:
-        matches = handcrafted.query(ontology,
-                                    reference_top_constraints(belief, ontology))
+        matches = belief_tracker.query(ontology,
+                                       reference_top_constraints(belief, ontology))
         if len(matches) > policy.config.entity_threshold:
             _, slot_name = min(unknown, key=lambda pair: pair[0])
             yield policy._idx("request", slot_name)
     yield policy._idx("inform_byconstraints")
-    if method_top(belief) == "finished":
+    if ref_method_top(belief) == "finished":
         yield policy._idx("bye")
     yield policy._idx("reqmore")
 
@@ -110,32 +110,33 @@ def reference_act(policy, belief, mask):
 def assert_matches_reference(belief, ontology, policy, monkeypatch):
     slots = belief.slot_summary
     for k, slot in enumerate(ontology.constraint_slots):
-        dist = belief.slot_beliefs[slot.name]
+        dist = slot_beliefs(belief)[slot.name]
         assert slots.top[k] == np.argmax(dist)
         assert slots.none_top[k] == (np.argmax(dist) == NONE_IDX)
         assert slots.best[k] == dist[DONTCARE_IDX:].max()
 
-    assert _top_constraints(belief, ontology) == \
+    assert dict(belief.top_constraints) == \
         reference_top_constraints(belief, ontology)
 
     rng = np.random.default_rng(0)
     queries = []
-    monkeypatch.setattr(handcrafted, "query",
+    # the belief makes the query; a fresh copy has not made it yet
+    monkeypatch.setattr(belief_tracker, "query",
                         lambda *a: queries.append(1) or query(*a))
     for enabled in (True, False):
         mask = compute_mask(belief, ontology, enabled)
         assert np.array_equal(mask, reference_mask(belief, ontology, enabled))
         del queries[:]
-        picked = policy.act(None, mask, rng, belief=belief)
+        fresh = BeliefState(belief.padded, layout_for(ontology),
+                            belief.offered_entity_id, belief.last_system_act)
+        picked = policy.act(None, mask, rng, belief=fresh)
         calls = len(queries)
         assert picked == reference_act(policy, belief, mask)
         assert calls == len(queries) - calls     # rule 4 queries as lazily
 
     actions = build_action_set(ontology)
     grounded = [summary_to_master(a, belief, ontology) for a in actions]
-    with monkeypatch.context() as patch:
-        patch.setattr(action_space, "_top_constraints", reference_top_constraints)
-        expected = [summary_to_master(a, belief, ontology) for a in actions]
+    expected = [ref_summary_to_master(a, belief, ontology) for a in actions]
     assert grounded == expected
 
 
@@ -218,7 +219,7 @@ def test_ties_go_to_the_first_entry_and_slot(lap, monkeypatch):
     assert none_tie.top[0] == NONE_IDX and none_tie.none_top[0]
     value_tie = belief_with(lap, cases[1])
     assert value_tie.slot_summary.top[0] == v
-    assert _top_constraints(value_tie, lap)[a] == lap.constraint_slots[0].values[0]
+    assert dict(value_tie.top_constraints)[a] == lap.constraint_slots[0].values[0]
     two_unsure = belief_with(lap, cases[3])
     mask = compute_mask(two_unsure, lap, masks_enabled=False)
     assert policy.act(None, mask, np.random.default_rng(0),
