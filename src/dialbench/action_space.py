@@ -120,7 +120,6 @@ def summary_to_master(action: SummaryAction, belief: BeliefState,
                   for idx in order[:1 if action.kind == "confirm" else 2].tolist()]
         return DialogueAct(action.kind, tuple((action.slot, v) for v in labels))
 
-    constraints = belief.top_constraints
     if action.kind == "inform_requested" and belief.offered_entity_id in (
         ontology.entity_by_id
     ):
@@ -136,6 +135,7 @@ def summary_to_master(action: SummaryAction, belief: BeliefState,
         items.extend((s, entity.attributes[s]) for s in asked)
         return DialogueAct("inform_requested", tuple(items))
 
+    constraints = belief.top_constraints
     if action.kind == "inform_alternatives":
         alternative = next((e for e in belief.matches
                             if e.id != belief.offered_entity_id), None)

@@ -93,11 +93,9 @@ class BeliefState:
     def top_constraints(self) -> tuple[tuple[str, str], ...]:
         """(slot, value) for each constraint slot, in ontology order, whose
         top entry is a value; none and dontcare drop out."""
-        lay = self._layout
-        return tuple((name, values[idx - VALUE_OFFSET])
-                     for name, values, idx in zip(lay.constraint_names,
-                                                  lay.constraint_values,
-                                                  self.slot_summary.top.tolist())
+        return tuple((slot.name, slot.values[idx - VALUE_OFFSET])
+                     for slot, idx in zip(self._layout.ontology.constraint_slots,
+                                          self.slot_summary.top.tolist())
                      if idx >= VALUE_OFFSET)
 
     @cached_property
@@ -110,9 +108,8 @@ class _Layout:
     """Per-ontology index maps and slices of the belief vector."""
 
     def __init__(self, ontology: Ontology):
-        self.ontology = ontology    # a belief's matches query it
+        self.ontology = ontology    # a belief's top constraints and matches read it
         self.constraint_names = [s.name for s in ontology.constraint_slots]
-        self.constraint_values = [s.values for s in ontology.constraint_slots]
         self.value_index = {
             s.name: {v: VALUE_OFFSET + i for i, v in enumerate(s.values)}
             for s in ontology.constraint_slots
