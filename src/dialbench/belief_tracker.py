@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from dialbench.domain import DONTCARE, Entity, Ontology, query
-from dialbench.semantics import DialogueAct, NBestList
+from dialbench.semantics import SYSTEM_INFORM_ACTS, DialogueAct, NBestList
 
 METHOD_VALUES = ("none", "byconstraints", "byname", "byalternatives", "finished")
 
@@ -31,10 +31,6 @@ VALUE_OFFSET = 2
 
 # A requestable slot counts as asked for above this probability.
 REQUESTED_THRESHOLD = 0.5
-
-_SYSTEM_INFORM_ACTS = frozenset(
-    {"inform", "inform_byname", "inform_alternatives", "inform_requested"}
-)
 
 
 class SlotSummary(NamedTuple):
@@ -109,7 +105,6 @@ class _Layout:
 
     def __init__(self, ontology: Ontology):
         self.ontology = ontology    # a belief's top constraints and matches read it
-        self.constraint_names = [s.name for s in ontology.constraint_slots]
         self.value_index = {
             s.name: {v: VALUE_OFFSET + i for i, v in enumerate(s.values)}
             for s in ontology.constraint_slots
@@ -213,7 +208,7 @@ def update(belief: BeliefState, nbest: NBestList, system_act: DialogueAct,
     # System-side effects are deterministic: an offer flips the discourse
     # flag, and informing a requestable slot clears the standing request.
     offered_id = belief.offered_entity_id
-    if system_act.act_type in _SYSTEM_INFORM_ACTS:
+    if system_act.act_type in SYSTEM_INFORM_ACTS:
         name = system_act.name_value()
         if name is not None and name != "none":
             vec[-2] = 1.0

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Verbs: train, eval, benchmark, cross, list-tasks.  Settings come from
-flags first, then an optional INI config, then defaults.  Exit codes:
+flags first, then an optional INI config, then defaults; ``READS`` says
+which config keys each verb reads, and any other key exits 2.  Exit codes:
 0 success, 2 configuration problem, 3 missing or unreadable artifact.
 User input is validated where it is read; any other exception is an
 internal fault and propagates with its traceback (exit 1).
@@ -14,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from dialbench.config import ConfigError, check_type, load_config, parse_int_list
+from dialbench.config import HARNESS, ConfigError, check_type, load_config, parse_list
 from dialbench.domain import DOMAIN_CODES
 from dialbench.environment import TaskConfig, list_tasks, make_task
 from dialbench.error_channel import PRESETS, params_with, preset_for_env
@@ -27,7 +28,7 @@ from dialbench.harness import (
     run_cross_task,
     run_training,
 )
-from dialbench.policies import ALGORITHMS, CheckpointError, config_fields
+from dialbench.policies import ALGORITHMS, CONFIGS, CheckpointError, config_fields
 from dialbench.simulated_user import PROFILES
 
 EXIT_OK = 0
@@ -49,11 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", help="comma list of run seeds")
         p.add_argument("--config", help="INI settings file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--test-dialogues", type=int, dest="test_dialogues")
+        p.add_argument("--test-dialogues", dest="test_dialogues")
 
     train = sub.add_parser("train", help="train one algorithm on one task")
     common(train)
-    train.add_argument("--dialogues", type=int)
+    train.add_argument("--dialogues")
     train.add_argument("--eval-at", dest="eval_at",
                        help="comma list of milestone dialogue counts")
 
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("benchmark", help="train a grid and emit the "
                                              "results table")
     common(bench)
-    bench.add_argument("--dialogues", type=int)
+    bench.add_argument("--dialogues")
 
     cross = sub.add_parser("cross", help="cross-environment reward matrix "
                                          "from saved checkpoints")
@@ -76,75 +77,81 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setting(flag, config: dict, section: str, key: str, default=None):
-    """The flag's value if given, else ``[section] key``, else ``default``."""
-    if flag is not None:
-        return flag
-    return config.get(section, {}).get(key, default)
-
-
-def _split(text: str) -> list[str]:
-    return [part.strip() for part in str(text).split(",") if part.strip()]
-
-
 def _task_config(task_id: str) -> TaskConfig:
-    try:
-        return make_task(task_id)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    # make_task also reads env01-CR, as env1-CR under another name
+    if task_id not in list_tasks():
+        raise ConfigError(f"unknown task id {task_id!r}")
+    return make_task(task_id)
 
 
-def _resolve_tasks(raw: str | None) -> list[str]:
+# The [harness] keys every verb reads, each with its default.
+_RUN = {"seeds": tuple(range(10)), "test_dialogues": 500, "out": "runs"}
+ALL = None
+
+# What each verb reads of a config file: per section, the keys it reads
+# (for [harness], each with its default), or ALL of the section.  Any
+# other key the file sets exits 2.  Only train builds its env from
+# [errormodel] and [simuser]; eval and cross reload checkpoints, which
+# keep the [policy] settings they were trained with.
+READS = {
+    "train": {"task": ("name",), "policy": ALL, "simuser": ALL,
+              "errormodel": ALL,
+              "harness": {**_RUN, "dialogues": 10000, "eval_at": None}},
+    "eval": {"task": ("name",), "policy": ("algorithm",), "harness": _RUN},
+    "benchmark": {"task": ("name",), "policy": ALL,
+                  "harness": {**_RUN, "dialogues": 4000}},
+    "cross": {"policy": ("algorithm",), "harness": _RUN},
+}
+
+
+def _settings(verb: str, args, config: dict) -> dict:
+    """The [harness] settings ``verb`` reads, each from its flag, else the
+    file, else its default; a key of the file ``verb`` does not read
+    exits 2."""
+    reads = READS[verb]
+    for section, values in config.items():
+        keys = reads.get(section, ())
+        for key in values:
+            if keys is not ALL and key not in keys:
+                named = f" {key}" if section in reads else ""
+                raise ConfigError(f"{verb} does not read [{section}]{named}")
+    settings = {**reads["harness"], **config.get("harness", {})}
+    for key in settings:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            settings[key] = HARNESS[key](flag)
+    return settings
+
+
+def _names(raw: str, what: str, choices) -> tuple[str, ...]:
+    """The comma list ``raw`` of ``what``s, each one of ``choices``."""
+    names = parse_list(raw, f"{what}s")
+    for name in names:
+        if name not in choices:
+            raise ConfigError(f"unknown {what} {name!r}; choose from "
+                              f"{list(choices)}")
+    return names
+
+
+def _tasks(args, config: dict, default: str | None = None) -> tuple[str, ...]:
+    raw = args.task if args.task is not None else config.get(
+        "task", {}).get("name", default)
     if raw is None:
         raise ConfigError("missing --task (or [task] name in the config)")
     if raw == "all":
-        return list_tasks()
-    tasks = _split(raw)
+        return tuple(list_tasks())
+    tasks = parse_list(raw, "tasks")
     for task_id in tasks:
         _task_config(task_id)
     return tasks
 
 
-def _resolve_algos(raw: str | None) -> list[str]:
+def _algos(args, config: dict, default: str | None = None) -> tuple[str, ...]:
+    raw = args.algo if args.algo is not None else config.get(
+        "policy", {}).get("algorithm", default)
     if raw is None:
         raise ConfigError("missing --algo (or [policy] algorithm)")
-    if raw == "all":
-        return list(ALGORITHMS)
-    algos = _split(raw)
-    for algo in algos:
-        if algo not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {algo!r}; choose from "
-                              f"{ALGORITHMS}")
-    return algos
-
-
-def _resolve_seeds(args, config) -> tuple[int, ...]:
-    if args.seeds is not None:
-        seeds = parse_int_list(args.seeds, "--seeds")
-    else:
-        seeds = config.get("harness", {}).get("seeds", tuple(range(10)))
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be distinct")
-    for seed in seeds:
-        if not 0 <= seed < 1 << 128:      # a seed is a 128-bit Philox key
-            raise ConfigError(f"seeds must lie in 0 .. 2**128 - 1, got {seed}")
-    return seeds
-
-
-def _dialogues(args, config, default: int) -> int:
-    value = _setting(args.dialogues, config, "harness", "dialogues", default)
-    if value < 0:
-        raise ConfigError(f"training dialogues must not be negative, "
-                          f"got {value}")
-    return value
-
-
-def _test_dialogues(args, config) -> int:
-    value = _setting(args.test_dialogues, config, "harness", "test_dialogues",
-                     500)
-    if value < 1:
-        raise ConfigError("test dialogues must be at least 1")
-    return value
+    return ALGORITHMS if raw == "all" else _names(raw, "algorithm", ALGORITHMS)
 
 
 def _error_params(config: dict, task: TaskConfig):
@@ -167,35 +174,10 @@ def _profile(config: dict):
     return PROFILES[name] if name else None
 
 
-# Sections only train reads: it alone builds its env from them.
-_TRAIN_ONLY = ("errormodel", "simuser")
-
-
-def _refuse_unread(config: dict, verb: str, sections: tuple[str, ...],
-                   harness_keys: tuple[str, ...]) -> None:
-    """Settings ``verb`` would ignore exit 2 instead: whole sections, and
-    single ``[harness]`` keys."""
-    for section in sections:
-        if config.get(section):
-            raise ConfigError(f"{verb} does not read [{section}]")
-    for key in harness_keys:
-        if key in config.get("harness", {}):
-            raise ConfigError(f"{verb} does not read [harness] {key}")
-
-
-def _refuse_policy_settings(config: dict, verb: str) -> None:
-    """A reloaded checkpoint keeps the settings it was trained with."""
-    keys = sorted(config.get("policy", {}).keys() - {"algorithm"})
-    if keys:
-        raise ConfigError(f"{verb} reads only 'algorithm' from [policy], "
-                          f"got {keys}: a checkpoint keeps the settings it "
-                          f"was trained with")
-
-
-def _policy_overrides(config: dict, algos: list[str]) -> dict:
+def _policy_overrides(config: dict, algos: tuple[str, ...]) -> dict:
     """[policy] hyperparameters; each must be a config field of every
     chosen algorithm, with a value of the field's type (an integer also
-    serves for a float field)."""
+    serves for a float field) and in the field's range."""
     overrides = dict(config.get("policy", {}))
     overrides.pop("algorithm", None)
     for algo in algos:
@@ -205,38 +187,30 @@ def _policy_overrides(config: dict, algos: list[str]) -> dict:
                 raise ConfigError(f"[policy] key {key!r} is not a setting of "
                                   f"{algo}; choose from {sorted(fields)}")
             check_type(f"[policy] key {key!r} of {algo}", value, fields[key])
+        try:
+            CONFIGS[algo](**overrides)
+        except ValueError as exc:
+            raise ConfigError(f"bad [policy] setting of {algo}: {exc}") from exc
     return overrides
 
 
-def _eval_points(args, config, dialogues: int) -> tuple[int, ...]:
-    """Milestones of a train run: the given points, or else the default
-    points below ``dialogues``; either way they must end at it."""
-    if args.eval_at is not None:
-        points = parse_int_list(args.eval_at, "--eval-at")
-    else:
-        points = config.get("harness", {}).get("eval_at")
-    if points is None:
-        return tuple(p for p in DEFAULT_EVAL_POINTS if p < dialogues) + (
-            dialogues,)
-    return tuple(sorted(points))
-
-
 def cmd_train(args, config) -> int:
-    tasks = _resolve_tasks(_setting(args.task, config, "task", "name"))
-    algos = _resolve_algos(_setting(args.algo, config, "policy", "algorithm"))
+    settings = _settings("train", args, config)
+    tasks = _tasks(args, config)
+    algos = _algos(args, config)
     if len(tasks) != 1 or len(algos) != 1:
         raise ConfigError("train runs one task and one algorithm at a time")
-    seeds = _resolve_seeds(args, config)
-    dialogues = _dialogues(args, config, 10000)
-    test_dialogues = _test_dialogues(args, config)
-    out = Path(_setting(args.out, config, "harness", "out", "runs"))
-
+    dialogues = settings["dialogues"]
+    points = settings["eval_at"]
+    if points is None:   # the default points below the count, then the count
+        points = tuple(p for p in DEFAULT_EVAL_POINTS if p < dialogues) + (
+            dialogues,)
+    out = Path(settings["out"])
     task = _task_config(tasks[0])
     try:
-        spec = RunSpec(tasks[0], algos[0], seeds=seeds,
-                       train_dialogues=dialogues,
-                       eval_points=_eval_points(args, config, dialogues),
-                       test_dialogues=test_dialogues, out_dir=out)
+        spec = RunSpec(tasks[0], algos[0], seeds=settings["seeds"],
+                       train_dialogues=dialogues, eval_points=points,
+                       test_dialogues=settings["test_dialogues"], out_dir=out)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     result = run_training(spec,
@@ -252,55 +226,40 @@ def cmd_train(args, config) -> int:
 
 
 def cmd_eval(args, config) -> int:
-    _refuse_unread(config, "eval", _TRAIN_ONLY, ("dialogues", "eval_at"))
-    _refuse_policy_settings(config, "eval")
-    tasks = _resolve_tasks(_setting(args.task, config, "task", "name"))
-    algos = _resolve_algos(_setting(args.algo, config, "policy", "algorithm"))
+    settings = _settings("eval", args, config)
+    tasks = _tasks(args, config)
+    algos = _algos(args, config)
     if len(tasks) != 1 or len(algos) != 1:
         raise ConfigError("eval runs one task and one algorithm at a time")
-    seeds = _resolve_seeds(args, config)
-    test_dialogues = _test_dialogues(args, config)
-    out = Path(_setting(args.out, config, "harness", "out", "runs"))
     eval_task = args.eval_task
     if eval_task is not None and (_task_config(eval_task).domain_code
                                   != _task_config(tasks[0]).domain_code):
         raise ConfigError("--eval-task must be in the domain of --task")
-    report = evaluate_checkpoint(out, tasks[0], algos[0], seeds,
-                                 test_dialogues, eval_task_id=eval_task)
+    report = evaluate_checkpoint(Path(settings["out"]), tasks[0], algos[0],
+                                 settings["seeds"], settings["test_dialogues"],
+                                 eval_task_id=eval_task)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_benchmark(args, config) -> int:
-    _refuse_unread(config, "benchmark", _TRAIN_ONLY, ("eval_at",))
-    tasks = _resolve_tasks(_setting(args.task, config, "task", "name", "all"))
-    algos = _resolve_algos(_setting(args.algo, config, "policy", "algorithm",
-                                    "all"))
-    seeds = _resolve_seeds(args, config)
-    dialogues = _dialogues(args, config, 4000)
-    test_dialogues = _test_dialogues(args, config)
-    out = Path(_setting(args.out, config, "harness", "out", "runs"))
-    path = run_benchmark(algos, tasks, seeds, dialogues, test_dialogues, out,
+    settings = _settings("benchmark", args, config)
+    tasks = _tasks(args, config, "all")
+    algos = _algos(args, config, "all")
+    path = run_benchmark(algos, tasks, settings["seeds"],
+                         settings["dialogues"], settings["test_dialogues"],
+                         Path(settings["out"]),
                          policy_overrides=_policy_overrides(config, algos))
     print(f"results table: {path}")
     return EXIT_OK
 
 
 def cmd_cross(args, config) -> int:
-    _refuse_unread(config, "cross", ("task",) + _TRAIN_ONLY,
-                   ("dialogues", "eval_at"))
-    _refuse_policy_settings(config, "cross")
-    algos = _resolve_algos(_setting(args.algo, config, "policy", "algorithm",
-                                    "all"))
-    domains = _split(args.domains or "CR,SFR,LAP")
-    for domain in domains:
-        if domain not in DOMAIN_CODES:
-            raise ConfigError(f"unknown domain {domain!r}; choose from "
-                              f"{DOMAIN_CODES}")
-    seeds = _resolve_seeds(args, config)
-    test_dialogues = _test_dialogues(args, config)
-    out = Path(_setting(args.out, config, "harness", "out", "runs"))
-    path = run_cross_task(out, algos, domains, seeds, test_dialogues)
+    settings = _settings("cross", args, config)
+    algos = _algos(args, config, "all")
+    domains = _names(args.domains or "CR,SFR,LAP", "domain", DOMAIN_CODES)
+    path = run_cross_task(Path(settings["out"]), algos, domains,
+                          settings["seeds"], settings["test_dialogues"])
     print(f"cross matrix: {path}")
     return EXIT_OK
 

@@ -8,7 +8,12 @@ INI layout, five optional sections:
     [errormodel]  preset, plus field overrides
     [harness]     seeds, dialogues, eval_at, test_dialogues, out
 
-Anything the file leaves out falls back to CLI flags or defaults.
+``load_config`` refuses an unknown section or key and a value its key
+cannot take.  Each ``[harness]`` value is read by its ``HARNESS`` entry,
+which also reads the CLI flag of that name.  ``bench_cli`` checks
+``[policy]`` keys against the chosen algorithms, and which keys a verb
+reads against its ``READS`` table.  Anything the file leaves out falls
+back to CLI flags or defaults.
 """
 
 from __future__ import annotations
@@ -18,9 +23,6 @@ import typing
 from pathlib import Path
 
 from dialbench import error_channel, simulated_user
-
-SECTIONS = ("task", "policy", "simuser", "errormodel", "harness")
-_HARNESS_KEYS = {"seeds", "dialogues", "eval_at", "test_dialogues", "out"}
 
 
 class ConfigError(Exception):
@@ -49,14 +51,93 @@ def check_type(what: str, value, kind: type) -> None:
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}")
 
 
-def parse_int_list(text: str, label: str) -> tuple[int, ...]:
+def parse_list(text: str, label: str, kind: type = str) -> tuple:
+    """The entries of the comma list ``text``, each read by ``kind``
+    (``str`` or ``int``); blank entries are skipped, and an empty list or
+    a repeated entry is refused."""
     try:
-        values = tuple(int(part) for part in str(text).split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{label} must be a comma list of integers") from exc
+        values = tuple(kind(part.strip()) for part in str(text).split(",")
+                       if part.strip())
+    except ValueError:
+        raise ConfigError(f"{label} must be a comma list of integers") from None
     if not values:
         raise ConfigError(f"{label} must not be empty")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{label} must be distinct, got {text!r}")
     return values
+
+
+def parse_int_list(text: str, label: str) -> tuple[int, ...]:
+    return parse_list(text, label, int)
+
+
+def _count(key: str, least: int, refusal: str):
+    """The reader of an integer setting that must be at least ``least``."""
+    def read(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer, got {text!r}") from None
+        if value < least:
+            raise ConfigError(f"{refusal}, got {value}")
+        return value
+    return read
+
+
+def _seeds(text: str) -> tuple[int, ...]:
+    seeds = parse_int_list(text, "seeds")
+    for seed in seeds:
+        if not 0 <= seed < 1 << 128:      # a seed is a 128-bit Philox key
+            raise ConfigError(f"seeds must lie in 0 .. 2**128 - 1, got {seed}")
+    return seeds
+
+
+# The reader of each [harness] key's text, from the file or from the CLI
+# flag of the same name.  An output directory is a name, whatever it
+# looks like.
+HARNESS = {
+    "seeds": _seeds,
+    "dialogues": _count("dialogues", 0,
+                        "training dialogues must not be negative"),
+    "eval_at": lambda text: tuple(sorted(parse_int_list(text, "eval_at"))),
+    "test_dialogues": _count("test_dialogues", 1,
+                             "test dialogues must be at least 1"),
+    "out": str,
+}
+
+# The keys of each section; [policy] keys are the config fields of the
+# chosen algorithms, which only the CLI knows.
+KEYS = {
+    "task": ("name",),
+    "policy": None,
+    "simuser": ("profile",),
+    "errormodel": ("preset",) + error_channel.PARAM_NAMES,
+    "harness": tuple(HARNESS),
+}
+SECTIONS = tuple(KEYS)
+
+_CHOICES = {("simuser", "profile"): simulated_user.PROFILES,
+            ("errormodel", "preset"): error_channel.PRESETS}
+_ERROR_KINDS = typing.get_type_hints(error_channel.ErrorParams)
+
+
+def _read(section: str, key: str, text: str):
+    """The value of ``[section] key``, checked against what the key takes."""
+    keys = KEYS[section]
+    if keys is not None and key not in keys:
+        raise ConfigError(f"[{section}] supports only "
+                          f"{', '.join(map(repr, keys))}; it has no field "
+                          f"{key!r}")
+    if section == "harness":
+        return HARNESS[key](text)
+    value = coerce(text)
+    choices = _CHOICES.get((section, key))
+    if choices is not None and value not in choices:
+        raise ConfigError(f"unknown {key} {value!r}; choose from "
+                          f"{sorted(choices)}")
+    if section == "errormodel" and key != "preset":
+        check_type(f"[errormodel] key {key!r}", value, _ERROR_KINDS[key])
+    return value
 
 
 def load_config(path: str | Path) -> dict[str, dict]:
@@ -71,52 +152,8 @@ def load_config(path: str | Path) -> dict[str, dict]:
 
     out: dict[str, dict] = {}
     for section in parser.sections():
-        if section not in SECTIONS:
+        if section not in KEYS:
             raise ConfigError(f"unknown section [{section}] in {path}")
-        # an output directory is a name, whatever it looks like
-        out[section] = {k: v.strip() if (section, k) == ("harness", "out")
-                        else coerce(v) for k, v in parser.items(section)}
-
-    _validate(out, path)
+        out[section] = {key: _read(section, key, text)
+                        for key, text in parser.items(section)}
     return out
-
-
-def _validate(config: dict[str, dict], path: Path) -> None:
-    task = config.get("task", {})
-    for key in task:
-        if key != "name":
-            raise ConfigError(f"[task] supports only 'name', got {key!r}")
-
-    sim = config.get("simuser", {})
-    for key, value in sim.items():
-        if key != "profile":
-            raise ConfigError(f"[simuser] supports only 'profile', got {key!r}")
-        if value not in simulated_user.PROFILES:
-            raise ConfigError(f"unknown profile {value!r}; choose from "
-                              f"{sorted(simulated_user.PROFILES)}")
-
-    err = config.get("errormodel", {})
-    kinds = typing.get_type_hints(error_channel.ErrorParams)
-    for key, value in err.items():
-        if key == "preset":
-            if value not in error_channel.PRESETS:
-                raise ConfigError(f"unknown preset {value!r}; choose from "
-                                  f"{sorted(error_channel.PRESETS)}")
-        elif key not in error_channel.PARAM_NAMES:
-            raise ConfigError(f"[errormodel] has no field {key!r}")
-        else:
-            check_type(f"[errormodel] key {key!r}", value, kinds[key])
-
-    harness = config.get("harness", {})
-    for key in harness:
-        if key not in _HARNESS_KEYS:
-            raise ConfigError(f"[harness] supports {sorted(_HARNESS_KEYS)}, "
-                              f"got {key!r}")
-    if "seeds" in harness:
-        harness["seeds"] = parse_int_list(harness["seeds"], "[harness] seeds")
-    if "eval_at" in harness:
-        harness["eval_at"] = parse_int_list(harness["eval_at"],
-                                            "[harness] eval_at")
-    for key in ("dialogues", "test_dialogues"):
-        if key in harness and not isinstance(harness[key], int):
-            raise ConfigError(f"[harness] {key} must be an integer")

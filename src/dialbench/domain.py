@@ -74,7 +74,10 @@ class Entity:
 
 @dataclass
 class Ontology:
-    """Immutable after construction; safe to share across threads."""
+    """Fixed after construction, except ``derived``: other modules fill
+    that cache on first use (``belief_tracker`` its belief layout,
+    ``error_channel`` its confusable values), so sharing an ontology
+    across threads is safe only once those entries exist."""
 
     code: str
     slots: tuple[SlotDef, ...]

@@ -39,6 +39,11 @@ _CONFUSION_TARGETS = (
 )
 
 
+# Below zero, any of these can make a score or the residual mass negative,
+# and a confidence then falls outside [0, 1].
+_NON_NEGATIVE = frozenset({"residual_floor", "residual_spread", "tail_decay"})
+
+
 @dataclass(frozen=True)
 class ErrorParams:
     """Channel behaviour; every field is exercised by the test suite."""
@@ -90,6 +95,13 @@ class ErrorParams:
             raise ValueError("ser outside [0, 1]")
         if self.nbest_max < 1:
             raise ValueError("nbest_max must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.startswith("conf_") and value <= 0:
+                raise ValueError(f"{f.name} must be positive (a Beta "
+                                 f"shape), got {value}")
+            if f.name in _NON_NEGATIVE and value < 0:
+                raise ValueError(f"{f.name} must not be negative, got {value}")
         split = self.p_confuse_acttype + self.p_confuse_slot + self.p_confuse_value
         if abs(split - 1.0) > 1e-9:
             raise ValueError("confusion kernel weights must sum to 1")

@@ -19,12 +19,20 @@ import numpy as np
 from dialbench.artifacts import write_text_atomic
 from dialbench.belief_tracker import belief_dim
 from dialbench.domain import DOMAIN_CODES, Ontology
-from dialbench.environment import DialogueEnv, make_task
+from dialbench.environment import (
+    MAX_TURNS,
+    SUCCESS_REWARD,
+    TURN_PENALTY,
+    DialogueEnv,
+    make_task,
+)
 from dialbench.policies import Policy, Transition, load_policy, make_policy
 from dialbench.seeding import INIT_STREAM, TRAIN_STREAM, eval_stream, seed_stream
 
-REWARD_MIN = -25.0
-REWARD_MAX = 19.0
+# A dialogue's reward lies between a failure at the turn cap and a
+# success in one turn.
+REWARD_MIN = -MAX_TURNS * TURN_PENALTY
+REWARD_MAX = SUCCESS_REWARD - TURN_PENALTY
 
 ENV_INDICES_CROSS = (1, 3, 6)
 DEFAULT_EVAL_POINTS = (1000, 4000, 10000)

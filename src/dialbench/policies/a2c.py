@@ -18,6 +18,7 @@ from dialbench.policies.base import (
     NetLearner,
     Transition,
     masked_argmax,
+    require_counts,
     uniform_legal,
 )
 from dialbench.rl_core import (
@@ -44,6 +45,9 @@ class A2CConfig:
     update_episodes: int = 8      # newest + sampled older ones per update
     entropy_beta: float = 0.01
     iw_clip: float = 2.0
+
+    def __post_init__(self) -> None:
+        require_counts(self, "window", "anneal_dialogues")
 
 
 @dataclass

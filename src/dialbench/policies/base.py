@@ -31,6 +31,15 @@ class CheckpointError(ValueError):
     format version, missing header fields, or built for another domain."""
 
 
+def require_counts(config, *names: str) -> None:
+    """Each named field of ``config`` counts something of which a learner
+    needs at least one (it divides by it or indexes with it)."""
+    for name in names:
+        value = getattr(config, name)
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 @dataclass(frozen=True)
 class EpsilonSchedule:
     """Linear anneal from eps0 to eps_final over anneal_dialogues."""

@@ -11,6 +11,7 @@ from dialbench.policies.base import (
     NetLearner,
     Transition,
     masked_argmax,
+    require_counts,
     uniform_legal,
 )
 from dialbench.rl_core import (
@@ -36,6 +37,10 @@ class DQNConfig:
     eps_final: float = 0.05
     anneal_dialogues: int = 4000
     gamma: float = 0.99
+
+    def __post_init__(self) -> None:
+        require_counts(self, "buffer_size", "target_sync_dialogues",
+                       "anneal_dialogues")
 
 
 def bellman_targets(rewards: np.ndarray, next_q: np.ndarray,

@@ -17,6 +17,7 @@ from dialbench.policies.base import (
     NetLearner,
     Transition,
     masked_argmax,
+    require_counts,
     uniform_legal,
 )
 from dialbench.rl_core import forward_cache, grad_log_prob, masked_softmax
@@ -33,6 +34,9 @@ class ENACConfig:
     gamma: float = 0.99
     batch_episodes: int = 20
     ridge: float = 1e-4
+
+    def __post_init__(self) -> None:
+        require_counts(self, "anneal_dialogues")
 
 
 def enac_natural_gradient(phis: np.ndarray, returns: np.ndarray,

@@ -34,6 +34,7 @@ from dialbench.policies.base import (
     Policy,
     Transition,
     masked_argmax,
+    require_counts,
 )
 
 
@@ -46,6 +47,9 @@ class GPSarsaConfig:
     gamma: float = 0.99
     jitter: float = 1e-8
     refresh_every: int = 512    # full inverse rebuild cadence per block
+
+    def __post_init__(self) -> None:
+        require_counts(self, "refresh_every")
 
 
 def _bordered_inverse(m_inv: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:

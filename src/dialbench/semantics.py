@@ -33,6 +33,11 @@ NO_ITEM_ACTS = frozenset(
     {"hello", "bye", "reqmore", "affirm", "negate", "repeat", "null", "reqalts"}
 )
 
+# System act types that give the user information about an entity.
+SYSTEM_INFORM_ACTS = frozenset(
+    {"inform", "inform_byname", "inform_alternatives", "inform_requested"}
+)
+
 # Tolerance used when checking that hypothesis confidences plus the
 # residual sum to one.
 MASS_TOL = 1e-9

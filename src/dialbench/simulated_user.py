@@ -21,11 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from dialbench.domain import DONTCARE, Entity, Ontology, query
-from dialbench.semantics import DialogueAct
-
-_SYSTEM_INFORM_ACTS = frozenset(
-    {"inform", "inform_byname", "inform_alternatives", "inform_requested"}
-)
+from dialbench.semantics import SYSTEM_INFORM_ACTS, DialogueAct
 
 _INT_PARAMS = frozenset(
     {
@@ -360,7 +356,7 @@ class SimulatedUser:
         }.get(system_act.act_type)
         if handler is not None:
             handler(system_act, rng)
-        elif system_act.act_type in _SYSTEM_INFORM_ACTS:
+        elif system_act.act_type in SYSTEM_INFORM_ACTS:
             self._on_inform(system_act, rng)
         # hello, null and anything else: just work the agenda
 
@@ -548,7 +544,7 @@ def is_goal_fulfilled(goal: UserGoal, system_acts: list[DialogueAct],
     nomatch_correct = False
     offers: list[tuple[int, Entity]] = []
     for i, act in enumerate(system_acts):
-        if act.act_type not in _SYSTEM_INFORM_ACTS:
+        if act.act_type not in SYSTEM_INFORM_ACTS:
             continue
         name = act.name_value()
         if name is None:
@@ -569,7 +565,7 @@ def is_goal_fulfilled(goal: UserGoal, system_acts: list[DialogueAct],
     for _, entity in offers:
         answered = set()
         for act in system_acts:
-            if act.act_type not in _SYSTEM_INFORM_ACTS:
+            if act.act_type not in SYSTEM_INFORM_ACTS:
                 continue
             if act.name_value() != entity.id:
                 continue

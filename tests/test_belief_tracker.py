@@ -277,7 +277,7 @@ def test_each_ontology_gets_its_own_layout():
     cr, lap = generate_domain("CR"), generate_domain("LAP")
     assert layout_for(cr) is not layout_for(lap)
     assert belief_dim(cr) != belief_dim(lap)
-    assert layout_for(lap).constraint_names == [
+    assert list(layout_for(lap).slot_slices) == [
         s.name for s in lap.constraint_slots]
 
 

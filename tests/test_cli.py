@@ -1,11 +1,13 @@
 """Command-line interface: verbs, flag plumbing, exit codes."""
 
+import argparse
 import json
 
 import pytest
 
 from dialbench import bench_cli, harness
 from dialbench.bench_cli import main
+from dialbench.config import KEYS, SECTIONS
 from dialbench.environment import list_tasks
 from dialbench.policies import load_policy
 
@@ -112,6 +114,7 @@ def test_train_rejects_task_lists(capsys, tmp_path):
 
 def test_bad_eval_task_exits_2(capsys, tmp_path):
     for eval_task, message in (("env9-CR", "unknown task id"),
+                               ("env01-CR", "unknown task id"),
                                ("env1-SFR", "domain of --task")):
         code, _, err = run_cli(capsys, "eval", "--task", "env1-CR",
                                "--algo", "handcrafted", "--seeds", "0",
@@ -135,6 +138,114 @@ def test_repeated_seeds_exit_2(capsys, tmp_path):
                            "--dialogues", "2", "--out", str(tmp_path))
     assert code == 2
     assert "distinct" in err
+
+
+def train_cr_checkpoints(capsys, out):
+    for env in (1, 3, 6):
+        code, _, _ = run_cli(capsys, "train", "--task", f"env{env}-CR",
+                             "--algo", "handcrafted", "--seeds", "0",
+                             "--dialogues", "2", "--eval-at", "2",
+                             "--test-dialogues", "2", "--out", str(out))
+        assert code == 0
+
+
+@pytest.mark.parametrize("verb, flag, value, message", [
+    ("benchmark", "--task", ",", "tasks must not be empty"),
+    ("benchmark", "--algo", ",", "algorithms must not be empty"),
+    ("cross", "--domains", ",", "domains must not be empty"),
+    ("benchmark", "--task", "env1-CR,env1-CR,env2-CR",
+     "tasks must be distinct"),
+    ("benchmark", "--algo", "handcrafted,handcrafted",
+     "algorithms must be distinct"),
+    ("cross", "--domains", "CR,CR", "domains must be distinct"),
+])
+def test_empty_or_repeated_lists_exit_2(capsys, tmp_path, verb, flag, value,
+                                        message):
+    # an empty list gave a header-only table, a repeated entry repeated rows
+    # or columns and counted twice in the means
+    if verb == "cross":
+        train_cr_checkpoints(capsys, tmp_path)
+        argv = ["--algo", "handcrafted", "--domains", "CR"]
+    else:
+        argv = ["--task", "env1-CR", "--algo", "handcrafted",
+                "--dialogues", "2"]
+    argv[argv.index(flag) + 1] = value
+    code, _, err = run_cli(capsys, verb, *argv, "--seeds", "0",
+                           "--test-dialogues", "2", "--out", str(tmp_path))
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "benchmark.csv").exists()
+    assert not (tmp_path / "cross.csv").exists()
+
+
+@pytest.mark.parametrize("key, text", [
+    ("seeds", "0,x"),
+    ("dialogues", "1.5"),
+    ("dialogues", "yes"),
+    ("eval_at", "1,x"),
+    ("test_dialogues", "abc"),
+])
+def test_harness_key_refused_alike_from_flag_and_file(capsys, tmp_path, key,
+                                                      text):
+    # (`out` takes any text as a directory name, so it has no refusal)
+    argv = ["train", "--task", "env1-CR", "--algo", "handcrafted",
+            "--out", str(tmp_path)]
+    code, _, from_flag = run_cli(capsys, *argv,
+                                 f"--{key.replace('_', '-')}", text)
+    assert code == 2
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[harness]\n{key} = {text}\n")
+    code, _, from_file = run_cli(capsys, *argv, "--config", str(ini))
+    assert code == 2
+    assert from_flag == from_file
+    assert from_flag.startswith(f"config error: {key} must be ")
+    assert not (tmp_path / "checkpoints").exists()
+
+
+@pytest.mark.parametrize("algo, setting", [
+    ("dqn", "[policy]\nanneal_dialogues = 0\n"),
+    ("a2c", "[policy]\nanneal_dialogues = 0\n"),
+    ("dqn", "[policy]\ntarget_sync_dialogues = 0\n"),
+    ("gpsarsa", "[policy]\nrefresh_every = 0\n"),
+    ("dqn", "[policy]\nbuffer_size = 0\ntrain_after = 0\n"),
+    ("a2c", "[policy]\nwindow = 0\n"),
+    ("handcrafted", "[errormodel]\ntail_decay = -1\n"),
+    ("handcrafted", "[errormodel]\nresidual_floor = -0.5\n"),
+    ("handcrafted", "[errormodel]\nresidual_spread = -0.5\n"),
+    ("handcrafted", "[errormodel]\nconf_tail_a = 0\n"),
+    ("handcrafted", "[errormodel]\nconf_correct_b = 0\n"),
+])
+def test_out_of_range_setting_exits_2_before_any_dialogue(
+        capsys, tmp_path, monkeypatch, algo, setting):
+    # each of these used to fail inside a dialogue, with a traceback
+    def no_dialogue(*args, **kwargs):
+        raise AssertionError("a dialogue ran")
+    monkeypatch.setattr(harness, "run_episode", no_dialogue)
+    ini = tmp_path / "run.ini"
+    ini.write_text(setting)
+    key = setting.splitlines()[1].split()[0]
+    code, _, err = run_cli(capsys, "train", "--task", "env3-CR",
+                           "--algo", algo, "--seeds", "0",
+                           "--dialogues", "4", "--test-dialogues", "2",
+                           "--config", str(ini), "--out", str(tmp_path))
+    assert code == 2
+    assert "config error" in err and key in err
+    assert not (tmp_path / "checkpoints").exists()
+
+
+def test_every_verb_declares_what_it_reads():
+    parser = bench_cli.build_parser()
+    verbs = next(action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    assert set(bench_cli.READS) == set(verbs) - {"list-tasks"}
+    for verb, reads in bench_cli.READS.items():
+        assert set(reads) <= set(SECTIONS)
+        for section, keys in reads.items():
+            if keys is not bench_cli.ALL and KEYS[section] is not None:
+                assert set(keys) <= set(KEYS[section])
+        # each [harness] key a verb reads can also come from its flag
+        flags = {action.dest for action in verbs[verb]._actions}
+        assert set(reads["harness"]) <= flags
 
 
 @pytest.mark.parametrize("source,seed", [("flag", -1), ("config", -1),
