@@ -22,6 +22,7 @@ from dialbench.policies.base import (
     uniform_legal,
 )
 from dialbench.rl_core import (
+    ForwardCache,
     Net2,
     adam_init,
     adam_step,
@@ -68,11 +69,12 @@ def returns_to_go(rewards: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-def a2c_loss(net: Net2, obs: np.ndarray, actions: np.ndarray,
+def a2c_loss(net: Net2, cache: ForwardCache, actions: np.ndarray,
              masks: np.ndarray, returns: np.ndarray, advantages: np.ndarray,
              weights: np.ndarray, entropy_beta: float):
     """Surrogate loss and its parameter gradient, one flat vector like
-    ``backward``'s.
+    ``backward``'s, for the batch that ``cache`` holds
+    (``forward_cache(net, obs)``).
 
     advantages and weights enter as constants, so the returned gradients
     are exact derivatives of the returned scalar; finite differences
@@ -80,7 +82,6 @@ def a2c_loss(net: Net2, obs: np.ndarray, actions: np.ndarray,
     """
     n = len(actions)
     rows = np.arange(n)
-    cache = forward_cache(net, obs)
     out = cache.z
     v = out[:, -1]
     p = masked_softmax(out[:, :-1], masks)
@@ -164,7 +165,8 @@ class A2CPolicy(NetLearner):
         rets = np.concatenate([e.returns for e in batch])
         behaviour = np.concatenate([e.behaviour_probs for e in batch])
 
-        out = forward(self.net, obs)
+        cache = forward_cache(self.net, obs)
+        out = cache.z
         values = out[:, -1]
         probs = masked_softmax(out[:, :-1], masks)
         current = probs[np.arange(len(actions)), actions]
@@ -172,7 +174,7 @@ class A2CPolicy(NetLearner):
         weights = np.minimum(ratio, self.config.iw_clip)
         advantages = rets - values
 
-        loss, grads = a2c_loss(self.net, obs, actions, masks, rets,
+        loss, grads = a2c_loss(self.net, cache, actions, masks, rets,
                                advantages, weights, self.config.entropy_beta)
         adam_step(self.adam, self.net.theta, grads)
         return loss

@@ -1,4 +1,10 @@
-"""Deep Q-network with replay buffer and a periodically synced target net."""
+"""Deep Q-network with replay buffer and a periodically synced target net.
+
+After its first learn step, a step allocates nothing large: the
+minibatch's observation, next observation and next-mask arrays, both
+nets' forward caches and the gradient are made once, at the size of
+``minibatch``, and refilled.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +21,7 @@ from dialbench.policies.base import (
     uniform_legal,
 )
 from dialbench.rl_core import (
+    ForwardCache,
     adam_init,
     adam_step,
     backward,
@@ -39,8 +46,8 @@ class DQNConfig:
     gamma: float = 0.99
 
     def __post_init__(self) -> None:
-        require_counts(self, "buffer_size", "target_sync_dialogues",
-                       "anneal_dialogues")
+        require_counts(self, "buffer_size", "minibatch",
+                       "target_sync_dialogues", "anneal_dialogues")
 
 
 def bellman_targets(rewards: np.ndarray, next_q: np.ndarray,
@@ -63,6 +70,15 @@ class DQNPolicy(NetLearner):
         self._buffer: list[Transition] = []
         self._write = 0
         self._dialogues = 0
+        batch = config.minibatch
+        self._obs = np.zeros((batch, obs_dim))
+        self._next_obs = np.zeros((batch, obs_dim))
+        self._next_masks = np.zeros((batch, action_count), dtype=bool)
+        self._grad = np.empty_like(self.net.theta)
+        # made by the first learn step, so that building a policy runs no
+        # net; every later step refills them
+        self._q_cache: ForwardCache | None = None
+        self._target_cache: ForwardCache | None = None
 
     def act(self, observation: np.ndarray, mask: np.ndarray,
             rng: np.random.Generator,
@@ -86,24 +102,27 @@ class DQNPolicy(NetLearner):
 
     def train_step(self, rng: np.random.Generator) -> float:
         idx = rng.integers(len(self._buffer), size=self.config.minibatch)
-        batch = [self._buffer[int(i)] for i in idx]
-        obs = np.stack([t.observation for t in batch])
+        batch = [self._buffer[i] for i in idx.tolist()]
+        obs, next_obs, next_masks = self._obs, self._next_obs, self._next_masks
+        for row, t in enumerate(batch):
+            obs[row] = t.observation
+            next_obs[row] = t.next_observation
+            next_masks[row] = t.next_mask
         actions = np.array([t.action for t in batch])
         rewards = np.array([t.reward for t in batch])
-        next_obs = np.stack([t.next_observation for t in batch])
-        next_masks = np.stack([t.next_mask for t in batch])
         dones = np.array([t.done for t in batch])
 
-        next_q = forward(self.target_net, next_obs)
-        targets = bellman_targets(rewards, next_q, next_masks, dones,
-                                  self.config.gamma)
+        self._target_cache = forward_cache(self.target_net, next_obs,
+                                           self._target_cache)
+        targets = bellman_targets(rewards, self._target_cache.out, next_masks,
+                                  dones, self.config.gamma)
 
-        cache = forward_cache(self.net, obs)
+        cache = self._q_cache = forward_cache(self.net, obs, self._q_cache)
         q_taken = cache.out[np.arange(len(batch)), actions]
         err = q_taken - targets
         g_out = np.zeros_like(cache.out)
         g_out[np.arange(len(batch)), actions] = 2.0 * err / len(batch)
-        grads = backward(self.net, cache, g_out)
+        grads = backward(self.net, cache, g_out, out=self._grad)
         adam_step(self.adam, self.net.theta, grads)
         return float(np.mean(err**2))
 
@@ -112,7 +131,7 @@ class DQNPolicy(NetLearner):
             return
         self._dialogues += 1
         if self._dialogues % self.config.target_sync_dialogues == 0:
-            self.target_net = self.net.copy()
+            np.copyto(self.target_net.theta, self.net.theta)
 
     def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         # the target net restarts in sync with the Q-net; Adam starts fresh

@@ -10,6 +10,13 @@ by fan-in.
 A net keeps all its parameters in one flat vector, and gradients come back
 as one flat vector with the same layout, so Adam and the natural-gradient
 step update a whole net with a few vector operations.
+
+A learner that runs the same batch shape every step can keep its buffers:
+``forward_cache`` fills a ``ForwardCache`` passed to it when the row count
+and widths match, and ``backward`` writes into an ``out`` vector passed to
+it.  A cache or ``out`` passed in is overwritten, and the arrays returned
+alias it, so they hold only until the next call that is given the same
+buffer.  Without them, each call returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -86,11 +93,16 @@ def init_net(in_dim: int, hidden1: int, hidden2: int, out_dim: int,
 
 @dataclass
 class ForwardCache:
+    """One forward pass's inputs and activations, and room for the
+    hidden-layer gradients of the backward pass through it."""
+
     x: np.ndarray
     h1: np.ndarray
     h2: np.ndarray
     z: np.ndarray                 # outputs, one row per input
     out: np.ndarray               # z, or its one row for a single input
+    g_h1: np.ndarray              # dL/dh1 and dL/dh2, written by backward
+    g_h2: np.ndarray
 
 
 def masked_softmax(z: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -106,31 +118,55 @@ def forward(net: Net2, x: np.ndarray) -> np.ndarray:
     return forward_cache(net, x).out
 
 
-def forward_cache(net: Net2, x: np.ndarray) -> ForwardCache:
+def forward_cache(net: Net2, x: np.ndarray,
+                  cache: ForwardCache | None = None) -> ForwardCache:
+    """Run ``net`` on ``x``, one input or one per row, into ``cache`` if
+    it fits that many rows of this net, else into a new one; returns the
+    cache filled.  ``cache.x`` is ``x`` itself when ``x`` is already a
+    C-contiguous float64 matrix."""
     x = np.asarray(x, dtype=np.float64)
     xb = np.ascontiguousarray(np.atleast_2d(x))
-    h1 = np.maximum(xb @ net.w1 + net.b1, 0.0)
-    h2 = np.maximum(h1 @ net.w2 + net.b2, 0.0)
-    z = h2 @ net.w3 + net.b3
-    return ForwardCache(x=xb, h1=h1, h2=h2, z=z,
-                        out=z[0] if x.ndim == 1 else z)
+    _, h1, h2, n_out = net.dims
+    rows = len(xb)
+    if cache is None or (cache.h1.shape, cache.h2.shape, cache.z.shape) != (
+            (rows, h1), (rows, h2), (rows, n_out)):
+        z = np.empty((rows, n_out))
+        cache = ForwardCache(x=xb, h1=np.empty((rows, h1)),
+                             h2=np.empty((rows, h2)), z=z, out=z,
+                             g_h1=np.empty((rows, h1)),
+                             g_h2=np.empty((rows, h2)))
+    np.matmul(xb, net.w1, out=cache.h1)
+    cache.h1 += net.b1
+    np.maximum(cache.h1, 0.0, out=cache.h1)
+    np.matmul(cache.h1, net.w2, out=cache.h2)
+    cache.h2 += net.b2
+    np.maximum(cache.h2, 0.0, out=cache.h2)
+    np.matmul(cache.h2, net.w3, out=cache.z)
+    cache.z += net.b3
+    cache.x = xb
+    cache.out = cache.z[0] if x.ndim == 1 else cache.z
+    return cache
 
 
-def backward(net: Net2, cache: ForwardCache,
-             grad_out: np.ndarray) -> np.ndarray:
+def backward(net: Net2, cache: ForwardCache, grad_out: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Parameter gradients given dL/d(outputs), as one flat vector laid
-    out like ``net.theta`` (``net.split`` gives the arrays)."""
+    out like ``net.theta`` (``net.split`` gives the arrays), written into
+    ``out`` when it is given."""
     g_z = np.ascontiguousarray(
         np.atleast_2d(np.asarray(grad_out, dtype=np.float64)))
-    h1, h2 = cache.h1, cache.h2
-    grad = np.empty_like(net.theta)
+    h1, h2, g_h1, g_h2 = cache.h1, cache.h2, cache.g_h1, cache.g_h2
+    grad = np.empty_like(net.theta) if out is None else out
     g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = net.split(grad)
     np.matmul(h2.T, g_z, out=g_w3)
     g_z.sum(axis=0, out=g_b3)
-    g_h2 = np.where(h2 > 0.0, g_z @ net.w3.T, 0.0)
+    # rectifier: the gradient passes where h > 0 and is 0 elsewhere (NaN too)
+    np.matmul(g_z, net.w3.T, out=g_h2)
+    np.copyto(g_h2, 0.0, where=~(h2 > 0.0))
     np.matmul(h1.T, g_h2, out=g_w2)
     g_h2.sum(axis=0, out=g_b2)
-    g_h1 = np.where(h1 > 0.0, g_h2 @ net.w2.T, 0.0)
+    np.matmul(g_h2, net.w2.T, out=g_h1)
+    np.copyto(g_h1, 0.0, where=~(h1 > 0.0))
     np.matmul(cache.x.T, g_h1, out=g_w1)
     g_h1.sum(axis=0, out=g_b1)
     return grad
@@ -175,6 +211,8 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
     One pass of in-place operations over the whole vector.  Their order
     is that of ``theta -= lr * m_hat / (sqrt(v_hat) + eps)`` written out
     per operation, so results are the same bits as that expression's.
+    A bias correction that has rounded to 1.0 (from t = 356 for beta1,
+    t = 37412 for beta2) is skipped: ``x / 1.0`` is ``x`` for every double.
     """
     state.t += 1
     lr, beta1, beta2, eps, t = (state.lr, state.beta1, state.beta2,
@@ -188,10 +226,14 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
     np.multiply(1.0 - beta2, grad, out=a)
     a *= grad
     v += a
-    np.divide(m, 1.0 - beta1**t, out=a)      # m_hat
-    np.divide(v, 1.0 - beta2**t, out=b)      # v_hat
-    np.sqrt(b, out=b)
+    m_corr, v_corr = 1.0 - beta1**t, 1.0 - beta2**t
+    m_hat, v_hat = m, v
+    if m_corr != 1.0:
+        m_hat = np.divide(m, m_corr, out=a)
+    if v_corr != 1.0:
+        v_hat = np.divide(v, v_corr, out=b)
+    np.sqrt(v_hat, out=b)
     b += eps
-    np.multiply(lr, a, out=a)
+    np.multiply(lr, m_hat, out=a)
     a /= b
     theta -= a

@@ -5,7 +5,7 @@ import pytest
 
 from dialbench.policies.a2c import A2CConfig, A2CPolicy, Episode, a2c_loss, returns_to_go
 from dialbench.policies.base import Transition, load_policy, save_checkpoint
-from dialbench.rl_core import forward, init_net, masked_softmax
+from dialbench.rl_core import forward, forward_cache, init_net, masked_softmax
 
 
 def tiny_config(**overrides):
@@ -84,11 +84,11 @@ def test_a2c_loss_matches_finite_differences():
     assert min(np.abs(z1).min(), np.abs(z2).min()) > 1e-4
 
     def loss():
-        return a2c_loss(net, obs, actions, masks, returns, advantages,
-                        weights, entropy_beta=0.01)[0]
+        return a2c_loss(net, forward_cache(net, obs), actions, masks,
+                        returns, advantages, weights, entropy_beta=0.01)[0]
 
-    _, grads = a2c_loss(net, obs, actions, masks, returns, advantages,
-                        weights, entropy_beta=0.01)
+    _, grads = a2c_loss(net, forward_cache(net, obs), actions, masks,
+                        returns, advantages, weights, entropy_beta=0.01)
     h = 1e-6
     for p, g in zip(net.params(), net.split(grads)):
         flat, gf = p.reshape(-1), np.asarray(g).reshape(-1)
@@ -107,8 +107,8 @@ def test_a2c_loss_value_recomputation():
     net = small_net(3, seed=2)
     obs, actions, masks, returns, advantages, weights = loss_inputs(seed=3)
     beta = 0.02
-    loss, _ = a2c_loss(net, obs, actions, masks, returns, advantages,
-                       weights, entropy_beta=beta)
+    loss, _ = a2c_loss(net, forward_cache(net, obs), actions, masks,
+                       returns, advantages, weights, entropy_beta=beta)
     out = forward(net, obs)
     p = masked_softmax(out[:, :-1], masks)
     rows = np.arange(len(actions))
@@ -125,8 +125,9 @@ def test_a2c_loss_value_recomputation():
 def test_a2c_loss_zero_advantage_zero_beta_is_value_regression():
     net = small_net(2, seed=4)
     obs, actions, masks, returns, _, weights = loss_inputs(n_actions=2, seed=5)
-    loss, grads = a2c_loss(net, obs, actions, masks, returns,
-                           np.zeros(len(actions)), weights, entropy_beta=0.0)
+    loss, grads = a2c_loss(net, forward_cache(net, obs), actions, masks,
+                           returns, np.zeros(len(actions)), weights,
+                           entropy_beta=0.0)
     td = forward(net, obs)[:, -1] - returns
     assert loss == pytest.approx(np.mean(weights * 0.5 * td**2), abs=1e-12)
     # policy logits get no gradient: their w3 columns stay untouched
@@ -138,9 +139,9 @@ def test_a2c_loss_zero_advantage_zero_beta_is_value_regression():
 def test_a2c_loss_duplicating_rows_preserves_mean():
     net = small_net(3, seed=6)
     obs, actions, masks, returns, advantages, weights = loss_inputs(seed=7)
-    once, _ = a2c_loss(net, obs, actions, masks, returns, advantages,
-                       weights, entropy_beta=0.01)
-    twice, _ = a2c_loss(net, np.concatenate([obs, obs]),
+    once, _ = a2c_loss(net, forward_cache(net, obs), actions, masks,
+                       returns, advantages, weights, entropy_beta=0.01)
+    twice, _ = a2c_loss(net, forward_cache(net, np.concatenate([obs, obs])),
                         np.concatenate([actions, actions]),
                         np.concatenate([masks, masks]),
                         np.concatenate([returns, returns]),
@@ -155,8 +156,8 @@ def test_a2c_loss_fully_masked_action_has_zero_logit_grad():
     obs, actions, masks, returns, advantages, weights = loss_inputs(seed=9)
     masks[:, 2] = False
     actions = np.where(actions == 2, 0, actions)
-    _, grads = a2c_loss(net, obs, actions, masks, returns, advantages,
-                        weights, entropy_beta=0.01)
+    _, grads = a2c_loss(net, forward_cache(net, obs), actions, masks,
+                        returns, advantages, weights, entropy_beta=0.01)
     _, _, _, _, g_w3, g_b3 = net.split(grads)
     assert np.allclose(g_w3[:, 2], 0.0, atol=1e-15)
     assert g_b3[2] == pytest.approx(0.0, abs=1e-15)

@@ -209,11 +209,12 @@ def test_08_gradient_checks():
     assert_fd_safe(net, obs)
 
     def surrogate():
-        return a2c_loss(net, obs, actions, masks, returns, advantages,
-                        weights, 0.01)[0]
+        return a2c_loss(net, forward_cache(net, obs), actions, masks,
+                        returns, advantages, weights, 0.01)[0]
 
-    analytic = net.split(a2c_loss(net, obs, actions, masks, returns,
-                                  advantages, weights, 0.01)[1])
+    analytic = net.split(a2c_loss(net, forward_cache(net, obs), actions,
+                                  masks, returns, advantages, weights,
+                                  0.01)[1])
     for a, n in zip(analytic, fd_grads(surrogate, net.params())):
         assert np.allclose(a, n, rtol=1e-4, atol=1e-6)
 

@@ -214,6 +214,7 @@ def test_harness_key_refused_alike_from_flag_and_file(capsys, tmp_path, key,
     ("handcrafted", "[errormodel]\nresidual_spread = -0.5\n"),
     ("handcrafted", "[errormodel]\nconf_tail_a = 0\n"),
     ("handcrafted", "[errormodel]\nconf_correct_b = 0\n"),
+    ("dqn", "[policy]\nminibatch = 0\n"),
 ])
 def test_out_of_range_setting_exits_2_before_any_dialogue(
         capsys, tmp_path, monkeypatch, algo, setting):

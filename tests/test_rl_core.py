@@ -160,6 +160,58 @@ def test_masked_softmax_broadcasts_single_mask_row():
     assert np.allclose(p.sum(axis=1), 1.0)
 
 
+def reference_forward_backward(net, x, grad_out):
+    """Outputs and flat gradient with a fresh array per operation: the
+    reference for the path that reuses a cache and an ``out`` vector."""
+    xb = np.atleast_2d(x)
+    h1 = np.maximum(xb @ net.w1 + net.b1, 0.0)
+    h2 = np.maximum(h1 @ net.w2 + net.b2, 0.0)
+    z = h2 @ net.w3 + net.b3
+    g_z = np.atleast_2d(grad_out)
+    g_h2 = np.where(h2 > 0.0, g_z @ net.w3.T, 0.0)
+    g_h1 = np.where(h1 > 0.0, g_h2 @ net.w2.T, 0.0)
+    grads = (xb.T @ g_h1, g_h1.sum(axis=0), h1.T @ g_h2, g_h2.sum(axis=0),
+             h2.T @ g_z, g_z.sum(axis=0))
+    return z, np.concatenate([g.ravel() for g in grads])
+
+
+def test_reused_cache_and_out_give_the_bytes_of_fresh_calls():
+    net = small_net()
+    rng = np.random.default_rng(16)
+    for x in (rng.normal(size=(5, 6)), rng.normal(size=6)):
+        g_out = rng.normal(size=np.shape(forward(net, x)))
+        cache = forward_cache(net, rng.normal(size=np.shape(x)))
+        backward(net, cache, g_out)          # leaves other gradients inside
+        out = np.full_like(net.theta, np.nan)
+        reused = forward_cache(net, x, cache)
+        assert reused is cache
+        assert backward(net, reused, g_out, out=out) is out
+
+        fresh = forward_cache(net, x)
+        fresh_grad = backward(net, fresh, g_out)
+        ref_z, ref_grad = reference_forward_backward(net, x, g_out)
+        assert reused.out.shape == fresh.out.shape == np.shape(x)[:-1] + (4,)
+        for name in ("x", "h1", "h2", "z", "out", "g_h1", "g_h2"):
+            assert (getattr(reused, name).tobytes()
+                    == getattr(fresh, name).tobytes()), name
+        assert reused.z.tobytes() == ref_z.tobytes()
+        assert out.tobytes() == fresh_grad.tobytes() == ref_grad.tobytes()
+
+
+def test_cache_that_does_not_fit_is_replaced_not_written():
+    net = small_net()
+    three = forward_cache(net, np.ones((3, 6)))
+    kept = [a.copy() for a in (three.h1, three.h2, three.z)]
+    two = forward_cache(net, np.zeros((2, 6)), three)
+    assert two is not three and two.z.shape == (2, 4)
+    for got, want in zip((three.h1, three.h2, three.z), kept):
+        assert np.array_equal(got, want)
+    # the same row count from a net of other widths does not fit either
+    wide = forward_cache(init_net(6, 7, 4, 4, np.random.default_rng(0)),
+                         np.ones((3, 6)))
+    assert forward_cache(net, np.ones((3, 6)), wide) is not wide
+
+
 def test_forward_squeezes_single_observation():
     net = small_net()
     out1 = forward(net, np.zeros(6))
@@ -239,6 +291,34 @@ def test_adam_matches_per_array_reference():
     for got, want in zip(net.split(state.m) + net.split(state.v),
                          ref["m"] + ref["v"]):
         assert np.array_equal(got, want)
+
+
+def test_adam_matches_per_array_reference_past_bias_corrections():
+    """Past t = 356, 1 - beta1**t rounds to 1.0, and past t = 37412 so
+    does 1 - beta2**t; the steps that skip those divisions keep the bits
+    of the steps that make them."""
+    assert 1.0 - 0.9**355 != 1.0 == 1.0 - 0.9**356
+    assert 1.0 - 0.999**37411 != 1.0 == 1.0 - 0.999**37412
+    rng = np.random.default_rng(15)
+    net = init_net(12, 10, 8, 5, rng)
+    for start, steps in ((0, 400), (37400, 30)):
+        m0 = rng.normal(size=net.theta.size) * 0.1 if start else 0.0
+        v0 = rng.random(net.theta.size) * 0.01 if start else 0.0
+        state = adam_init(net.theta)
+        state.t = start
+        state.m[...], state.v[...] = m0, v0
+        ref_params = [p.copy() for p in net.params()]
+        ref = {"t": start, "m": [a.copy() for a in net.split(state.m)],
+               "v": [a.copy() for a in net.split(state.v)]}
+        for _ in range(steps):
+            grad = rng.normal(size=net.theta.size) * rng.choice([1e-3, 1.0])
+            adam_step(state, net.theta, grad)
+            _per_array_adam_step(ref, ref_params, net.split(grad))
+        assert state.t == ref["t"] == start + steps
+        for got, want in zip(net.params() + net.split(state.m)
+                             + net.split(state.v),
+                             ref_params + ref["m"] + ref["v"]):
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- net setup
