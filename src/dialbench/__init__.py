@@ -14,13 +14,12 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from dialbench.domain import Ontology, generate_domain, load_ontology, query
+from dialbench.domain import Ontology, generate_domain, query
 from dialbench.environment import DialogueEnv, TaskConfig, list_tasks, make_task
 
 __all__ = [
     "Ontology",
     "generate_domain",
-    "load_ontology",
     "query",
     "DialogueEnv",
     "TaskConfig",

@@ -18,11 +18,12 @@ from pathlib import Path
 from dialbench.config import HARNESS, ConfigError, check_type, load_config, parse_list
 from dialbench.domain import DOMAIN_CODES
 from dialbench.environment import TaskConfig, list_tasks, make_task
-from dialbench.error_channel import PRESETS, params_with, preset_for_env
+from dialbench.error_channel import PRESETS, params_with
 from dialbench.harness import (
     DEFAULT_EVAL_POINTS,
     MissingArtifact,
     RunSpec,
+    curve_csv_path,
     evaluate_checkpoint,
     run_benchmark,
     run_cross_task,
@@ -78,10 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _task_config(task_id: str) -> TaskConfig:
-    # make_task also reads env01-CR, as env1-CR under another name
-    if task_id not in list_tasks():
-        raise ConfigError(f"unknown task id {task_id!r}")
-    return make_task(task_id)
+    try:
+        return make_task(task_id)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # The [harness] keys every verb reads, each with its default.
@@ -161,8 +162,7 @@ def _error_params(config: dict, task: TaskConfig):
     if "ser" in section:
         raise ConfigError(f"[errormodel] cannot set ser: {task.task_id} "
                           f"runs at its fixed rate {task.ser}")
-    preset = section.pop("preset", None)
-    base = PRESETS[preset] if preset else preset_for_env(task.env_index)
+    base = PRESETS[section.pop("preset", task.error_preset)]
     try:
         return params_with(base, **section)
     except ValueError as exc:
@@ -205,12 +205,12 @@ def cmd_train(args, config) -> int:
     if points is None:   # the default points below the count, then the count
         points = tuple(p for p in DEFAULT_EVAL_POINTS if p < dialogues) + (
             dialogues,)
-    out = Path(settings["out"])
     task = _task_config(tasks[0])
     try:
         spec = RunSpec(tasks[0], algos[0], seeds=settings["seeds"],
                        train_dialogues=dialogues, eval_points=points,
-                       test_dialogues=settings["test_dialogues"], out_dir=out)
+                       test_dialogues=settings["test_dialogues"],
+                       out_dir=Path(settings["out"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     result = run_training(spec,
@@ -221,7 +221,7 @@ def cmd_train(args, config) -> int:
         sm, ss, rm, rs = result.mean_std(point)
         print(f"{spec.task_id} {spec.algorithm} @{point}: "
               f"success {sm:.3f}±{ss:.3f} reward {rm:.2f}±{rs:.2f}")
-    print(f"curve: {out / 'curves' / f'{spec.task_id}-{spec.algorithm}.csv'}")
+    print(f"curve: {curve_csv_path(spec)}")
     return EXIT_OK
 
 

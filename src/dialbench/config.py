@@ -19,6 +19,7 @@ back to CLI flags or defaults.
 from __future__ import annotations
 
 import configparser
+import math
 import typing
 from pathlib import Path
 
@@ -45,10 +46,12 @@ def coerce(text: str):
 
 def check_type(what: str, value, kind: type) -> None:
     """``value`` must be of ``kind``; an int also serves for a float
-    setting, and a bool serves for neither."""
+    setting, a bool serves for neither, and a float must be finite."""
     accepted = (int, float) if kind is float else (kind,)
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
 
 
 def parse_list(text: str, label: str, kind: type = str) -> tuple:

@@ -18,9 +18,7 @@ also ask back.  The slot/value identifiers are synthetic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -165,45 +163,11 @@ def generate_domain(code: str) -> Ontology:
         entities.append(Entity(id=f"ent{k:04d}", attributes=attrs))
 
     ontology = Ontology(code=code, slots=tuple(slots), entities=tuple(entities))
-    _check_counts(ontology)
-    return ontology
-
-
-def _check_counts(ontology: Ontology) -> None:
-    expected = _EXPECTED_COUNTS.get(ontology.code)
-    if expected is not None and ontology.counts() != expected:
+    if ontology.counts() != _EXPECTED_COUNTS[code]:
         raise ConfigurationError(
-            f"domain {ontology.code} has counts {ontology.counts()}, "
-            f"expected {expected}"
+            f"domain {code} has counts {ontology.counts()}, "
+            f"expected {_EXPECTED_COUNTS[code]}"
         )
-
-
-def load_ontology(path: str | Path) -> Ontology:
-    """Load an ontology file, validating structure and standard counts."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"not valid JSON: {exc}") from exc
-    try:
-        slots = tuple(
-            SlotDef(
-                name=s["name"],
-                values=tuple(s["values"]),
-                is_constraint=bool(s["is_constraint"]),
-                is_requestable=bool(s["is_requestable"]),
-            )
-            for s in payload["slots"]
-        )
-        entities = tuple(
-            Entity(id=e["id"], attributes=dict(e["attributes"]))
-            for e in payload["entities"]
-        )
-        ontology = Ontology(code=payload["code"], slots=slots, entities=entities)
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(f"malformed ontology file: {exc}") from exc
-    _check_counts(ontology)
     return ontology
 
 

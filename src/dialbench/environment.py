@@ -1,15 +1,19 @@
 """Dialogue MDP: 18 standard tasks (6 environments x 3 domains).
 
-Environments differ in semantic error rate, whether action masks apply,
-and the user population:
+Environments differ in error model (an ``error_channel.PRESETS`` entry,
+which fixes the semantic error rate), whether action masks apply, and the
+user population:
 
-    env  error rate  masks  users
-    1    0.00        on     standard
-    2    0.00        off    standard
-    3    0.15        on     standard
-    4    0.15        off    standard
-    5    0.15        on     unfriendly
-    6    0.30        on     standard
+    env  error preset  error rate  masks  users
+    1    clean         0.00        on     standard
+    2    clean         0.00        off    standard
+    3    noisy15       0.15        on     standard
+    4    noisy15       0.15        off    standard
+    5    noisy15       0.15        on     unfriendly
+    6    noisy30       0.30        on     standard
+
+``TASKS`` holds the 18 tasks, each environment crossed with each domain;
+a task id such as ``env3-SFR`` names exactly one of them.
 
 An episode runs for at most 25 system turns.  Every system turn costs 1;
 a dialogue that fulfils the user's goal earns a +20 bonus on its final
@@ -28,7 +32,7 @@ import numpy as np
 from dialbench.action_space import SummaryAction, build_action_set, compute_mask, summary_to_master
 from dialbench.belief_tracker import BeliefState, flatten, init_belief, update
 from dialbench.domain import DOMAIN_CODES, Ontology, generate_domain
-from dialbench.error_channel import ErrorParams, corrupt, preset_for_env
+from dialbench.error_channel import PRESETS, ErrorParams, corrupt
 from dialbench.semantics import DialogueAct, NBestList, serialize_act
 from dialbench.simulated_user import (
     PROFILES,
@@ -40,13 +44,14 @@ from dialbench.simulated_user import (
     sample_params,
 )
 
+# Each environment's error preset, whether masks apply, and its users.
 _ENV_ROWS = {
-    1: (0.00, True, "standard"),
-    2: (0.00, False, "standard"),
-    3: (0.15, True, "standard"),
-    4: (0.15, False, "standard"),
-    5: (0.15, True, "unfriendly"),
-    6: (0.30, True, "standard"),
+    1: ("clean", True, "standard"),
+    2: ("clean", False, "standard"),
+    3: ("noisy15", True, "standard"),
+    4: ("noisy15", False, "standard"),
+    5: ("noisy15", True, "unfriendly"),
+    6: ("noisy30", True, "standard"),
 }
 
 MAX_TURNS = 25
@@ -59,33 +64,37 @@ class TaskConfig:
     task_id: str
     env_index: int
     domain_code: str
+    error_preset: str
     ser: float
     masks_enabled: bool
     user_profile: str
 
 
-def make_task(task_id: str) -> TaskConfig:
-    """Parse ids of the form ``env3-SFR``."""
-    try:
-        env_part, domain_code = task_id.split("-", 1)
-        env_index = int(env_part.removeprefix("env"))
-        ser, masks, profile = _ENV_ROWS[env_index]
-    except (ValueError, KeyError):
-        raise ValueError(f"unknown task id {task_id!r}") from None
-    if domain_code not in DOMAIN_CODES:
-        raise ValueError(f"unknown domain code {domain_code!r}")
-    return TaskConfig(
-        task_id=task_id,
-        env_index=env_index,
-        domain_code=domain_code,
-        ser=ser,
+TASKS = {
+    f"env{env}-{code}": TaskConfig(
+        task_id=f"env{env}-{code}",
+        env_index=env,
+        domain_code=code,
+        error_preset=preset,
+        ser=PRESETS[preset].ser,
         masks_enabled=masks,
         user_profile=profile,
     )
+    for env, (preset, masks, profile) in _ENV_ROWS.items()
+    for code in DOMAIN_CODES
+}
+
+
+def make_task(task_id: str) -> TaskConfig:
+    """The task ``task_id``, one of ``list_tasks()``."""
+    try:
+        return TASKS[task_id]
+    except KeyError:
+        raise ValueError(f"unknown task id {task_id!r}") from None
 
 
 def list_tasks() -> list[str]:
-    return [f"env{e}-{d}" for e in sorted(_ENV_ROWS) for d in DOMAIN_CODES]
+    return list(TASKS)
 
 
 @dataclass
@@ -129,12 +138,12 @@ class DialogueEnv:
     was given, and a terminal step hands back those of the final belief.
     """
 
-    def __init__(self, task: TaskConfig, ontology: Ontology | None = None,
-                 error_params: ErrorParams | None = None,
+    def __init__(self, task: TaskConfig, error_params: ErrorParams | None = None,
                  profile: ProfileDistribution | None = None):
         self.task = task
-        self.ontology = ontology if ontology is not None else generate_domain(task.domain_code)
-        base = error_params if error_params is not None else preset_for_env(task.env_index)
+        self.ontology = generate_domain(task.domain_code)
+        base = error_params if error_params is not None else PRESETS[task.error_preset]
+        # other error params keep the task's fixed rate
         if abs(base.ser - task.ser) > 1e-12:
             base = replace(base, ser=task.ser)
         self.error_params = base

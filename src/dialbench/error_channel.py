@@ -161,16 +161,6 @@ PRESETS = {
     ),
 }
 
-_ENV_PRESET = {1: "clean", 2: "clean", 3: "noisy15", 4: "noisy15", 5: "noisy15", 6: "noisy30"}
-
-
-def preset_for_env(env_index: int) -> ErrorParams:
-    try:
-        return PRESETS[_ENV_PRESET[env_index]]
-    except KeyError:
-        raise ValueError(f"no error preset for environment {env_index}") from None
-
-
 def params_with(base: ErrorParams, **overrides: float) -> ErrorParams:
     return replace(base, **overrides)
 

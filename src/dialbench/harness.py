@@ -18,7 +18,7 @@ import numpy as np
 
 from dialbench.artifacts import write_text_atomic
 from dialbench.belief_tracker import belief_dim
-from dialbench.domain import DOMAIN_CODES, Ontology
+from dialbench.domain import DOMAIN_CODES
 from dialbench.environment import (
     MAX_TURNS,
     SUCCESS_REWARD,
@@ -184,13 +184,11 @@ def _build_policy(spec: RunSpec, env: DialogueEnv, run_seed: int,
                        **overrides)
 
 
-def run_training(spec: RunSpec, ontology: Ontology | None = None,
-                 error_params=None, profile=None,
-                 policy_overrides: dict | None = None,
-                 write_files: bool = True) -> TrainResult:
+def run_training(spec: RunSpec, error_params=None, profile=None,
+                 policy_overrides: dict | None = None) -> TrainResult:
     # The env keeps no state between dialogues, so the seeds share it.
-    env = DialogueEnv(make_task(spec.task_id), ontology=ontology,
-                      error_params=error_params, profile=profile)
+    env = DialogueEnv(make_task(spec.task_id), error_params=error_params,
+                      profile=profile)
     result = TrainResult(spec, {p: {} for p in spec.eval_points})
 
     for run_seed in spec.seeds:
@@ -206,13 +204,11 @@ def run_training(spec: RunSpec, ontology: Ontology | None = None,
             succ, rew = evaluate(env, policy, run_seed, m_idx,
                                  spec.test_dialogues)
             result.curve[point][run_seed] = (succ, rew)
-            if write_files:
-                policy.save(checkpoint_path(spec.out_dir, spec.task_id,
-                                            spec.algorithm, run_seed, point))
+            policy.save(checkpoint_path(spec.out_dir, spec.task_id,
+                                        spec.algorithm, run_seed, point))
 
-    if write_files:
-        write_curve_csv(result)
-        write_summary_json(result)
+    write_curve_csv(result)
+    write_summary_json(result)
     return result
 
 
@@ -273,10 +269,6 @@ def write_summary_json(result: TrainResult) -> Path:
     }
     return write_text_atomic(
         path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _domain_of(task_id: str) -> str:
-    return task_id.split("-")[1]
 
 
 def run_benchmark(algorithms: list[str], tasks: list[str],
@@ -344,9 +336,7 @@ def write_benchmark_table(cells: dict[tuple[str, str], ResultRow],
         succ = {a: cells[(task_id, a)].success for a in algorithms}
         rew = {a: cells[(task_id, a)].reward for a in algorithms}
         emit(task_id, succ, rew)
-        domain = _domain_of(task_id)
-        if domain in groups:
-            groups[domain].append(task_id)
+        groups[make_task(task_id).domain_code].append(task_id)
 
     def mean_over(task_ids: list[str], label: str):
         if not task_ids:
@@ -375,9 +365,8 @@ def evaluate_checkpoint(out_dir: Path, task_id: str, algorithm: str,
     in the same domain."""
     target_id = eval_task_id or task_id
     task = make_task(target_id)
-    if eval_task_id is not None:
-        if _domain_of(eval_task_id) != _domain_of(task_id):
-            raise ValueError("cross-task evaluation must stay in one domain")
+    if task.domain_code != make_task(task_id).domain_code:
+        raise ValueError("cross-task evaluation must stay in one domain")
     env = DialogueEnv(task)
     per_seed = {}
     for seed in seeds:

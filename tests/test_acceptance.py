@@ -62,27 +62,30 @@ BAND_SEEDS = (0, 1, 2)
 BAND_TESTS = 500
 
 
-def band_run(task_id, algorithm, eval_points):
+def band_run(task_id, algorithm, eval_points, out_dir):
     spec = RunSpec(task_id=task_id, algorithm=algorithm, seeds=BAND_SEEDS,
                    train_dialogues=eval_points[-1], eval_points=eval_points,
-                   test_dialogues=BAND_TESTS, out_dir="unused")
-    return run_training(spec, write_files=False)
+                   test_dialogues=BAND_TESTS, out_dir=out_dir)
+    return run_training(spec)
 
 
 @pytest.fixture(scope="session")
-def gpsarsa_band():
-    return band_run("env1-CR", "gpsarsa", (100, 1000))
+def gpsarsa_band(tmp_path_factory):
+    return band_run("env1-CR", "gpsarsa", (100, 1000),
+                    tmp_path_factory.mktemp("gpsarsa-band"))
 
 
 @pytest.fixture(scope="session")
-def dqn_band():
-    return band_run("env1-CR", "dqn", (1000,))
+def dqn_band(tmp_path_factory):
+    return band_run("env1-CR", "dqn", (1000,),
+                    tmp_path_factory.mktemp("dqn-band"))
 
 
 @pytest.fixture(scope="session")
-def handcrafted_band():
-    return {env: band_run(f"env{env}-CR", "handcrafted", (1,)).mean_std(1)[0]
-            for env in (1, 3, 6)}
+def handcrafted_band(tmp_path_factory):
+    out = tmp_path_factory.mktemp("handcrafted-band")
+    return {env: band_run(f"env{env}-CR", "handcrafted", (1,), out)
+            .mean_std(1)[0] for env in (1, 3, 6)}
 
 
 # -------------------------------------------------------- 1-3: catalog

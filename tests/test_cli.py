@@ -215,6 +215,11 @@ def test_harness_key_refused_alike_from_flag_and_file(capsys, tmp_path, key,
     ("handcrafted", "[errormodel]\nconf_tail_a = 0\n"),
     ("handcrafted", "[errormodel]\nconf_correct_b = 0\n"),
     ("dqn", "[policy]\nminibatch = 0\n"),
+    ("handcrafted", "[errormodel]\np_confuse_acttype = nan\n"),
+    ("handcrafted", "[errormodel]\np_null_top = inf\n"),
+    ("handcrafted", "[errormodel]\nconf_correct_a = nan\n"),
+    ("dqn", "[policy]\nlr = nan\n"),
+    ("dqn", "[policy]\ngamma = nan\n"),
 ])
 def test_out_of_range_setting_exits_2_before_any_dialogue(
         capsys, tmp_path, monkeypatch, algo, setting):

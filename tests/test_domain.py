@@ -12,16 +12,15 @@ from dialbench.domain import (
     SlotDef,
     Entity,
     generate_domain,
-    load_ontology,
     query,
 )
 
 EXPECTED = {"CR": (3, 9, 268), "SFR": (6, 11, 636), "LAP": (11, 21, 257)}
 
 
-def save_ontology(ontology: Ontology, path: str | Path) -> None:
-    """Write an ontology in the file format ``load_ontology`` reads."""
-    payload = {
+def ontology_payload(ontology: Ontology) -> dict:
+    """The ontology as the JSON object of the ``data/*.json`` snapshots."""
+    return {
         "code": ontology.code,
         "slots": [
             {
@@ -36,7 +35,6 @@ def save_ontology(ontology: Ontology, path: str | Path) -> None:
             {"id": e.id, "attributes": dict(e.attributes)} for e in ontology.entities
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True))
 
 
 @pytest.fixture(scope="module", params=DOMAIN_CODES)
@@ -128,33 +126,11 @@ def test_query_dontcare_matches_all(ontology):
     assert len(query(ontology, {slot.name: DONTCARE})) == len(ontology.entities)
 
 
-def test_save_load_round_trip(tmp_path, ontology):
-    path = tmp_path / "ont.json"
-    save_ontology(ontology, path)
-    back = load_ontology(path)
-    assert back.code == ontology.code
-    assert back.counts() == ontology.counts()
-    assert back.entities == ontology.entities
-
-
 def test_shipped_files_match_generator():
-    import pathlib
-    data = pathlib.Path(__file__).resolve().parents[1] / "data"
+    data = Path(__file__).resolve().parents[1] / "data"
     for code in DOMAIN_CODES:
-        shipped = load_ontology(data / f"{code.lower()}.json")
-        assert shipped.counts() == EXPECTED[code]
-        assert shipped.entities == generate_domain(code).entities
-
-
-def test_load_rejects_wrong_counts(tmp_path):
-    ontology = generate_domain("CR")
-    path = tmp_path / "bad.json"
-    save_ontology(ontology, path)
-    blob = json.loads(path.read_text())
-    blob["slots"] = blob["slots"][:-1]
-    path.write_text(json.dumps(blob))
-    with pytest.raises(ConfigurationError):
-        load_ontology(path)
+        shipped = json.loads((data / f"{code.lower()}.json").read_text())
+        assert shipped == ontology_payload(generate_domain(code))
 
 
 def test_ontology_rejects_entity_with_unknown_value():

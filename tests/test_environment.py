@@ -69,7 +69,8 @@ def test_task_defaults():
 
 
 @pytest.mark.parametrize("bad", ["env7-CR", "env0-CR", "env1-XX", "CR", "env1",
-                                 "env1-cr", ""])
+                                 "env1-cr", "", "env01-CR", "env+1-CR",
+                                 "env 1-CR", "env\u0663-CR"])
 def test_make_task_rejects_unknown_ids(bad):
     with pytest.raises(ValueError):
         make_task(bad)
@@ -317,7 +318,7 @@ def test_trace_first_record_is_opening():
 
 def test_write_trace_jsonl():
     ont = generate_domain("CR")
-    env = DialogueEnv(make_task("env3-CR"), ontology=ont)
+    env = DialogueEnv(make_task("env3-CR"))
     result, _ = run_random_episode(
         env, np.random.default_rng(11), np.random.default_rng(12)
     )

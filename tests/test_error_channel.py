@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from dialbench.domain import generate_domain
+from dialbench.environment import make_task
 from dialbench.error_channel import (
     PARAM_NAMES,
     PRESETS,
     ErrorParams,
     corrupt,
     params_with,
-    preset_for_env,
 )
 from dialbench.semantics import DialogueAct, NBestList, serialize_act
 
@@ -56,14 +56,14 @@ def test_exactly_41_parameters():
 
 def test_presets_exist_for_all_envs():
     assert set(PRESETS) == {"clean", "noisy15", "noisy30"}
-    assert preset_for_env(1).ser == 0.0
-    assert preset_for_env(2).ser == 0.0
-    assert preset_for_env(3).ser == 0.15
-    assert preset_for_env(4).ser == 0.15
-    assert preset_for_env(5).ser == 0.15
-    assert preset_for_env(6).ser == 0.30
-    with pytest.raises(ValueError):
-        preset_for_env(7)
+    def preset_ser(env):
+        return PRESETS[make_task(f"env{env}-CR").error_preset].ser
+    assert preset_ser(1) == 0.0
+    assert preset_ser(2) == 0.0
+    assert preset_ser(3) == 0.15
+    assert preset_ser(4) == 0.15
+    assert preset_ser(5) == 0.15
+    assert preset_ser(6) == 0.30
 
 
 def test_confusion_kernel_must_sum_to_one():

@@ -94,7 +94,7 @@ def test_train_result_aggregation():
 
 
 def test_run_episode_handcrafted():
-    env = DialogueEnv(make_task("env1-CR"), ontology=CR)
+    env = DialogueEnv(make_task("env1-CR"))
     policy = HandcraftedPolicy(CR)
     result = run_episode(env, policy, seed_stream(0, TRAIN_STREAM),
                          dialogue_index=0, training=False)
@@ -103,7 +103,7 @@ def test_run_episode_handcrafted():
 
 
 def test_evaluate_is_deterministic():
-    env = DialogueEnv(make_task("env1-CR"), ontology=CR)
+    env = DialogueEnv(make_task("env1-CR"))
     policy = HandcraftedPolicy(CR)
     a = evaluate(env, policy, run_seed=3, milestone_index=0, episodes=10)
     b = evaluate(env, policy, run_seed=3, milestone_index=0, episodes=10)
@@ -116,7 +116,7 @@ def test_evaluation_does_not_perturb_training():
     # two identical training runs, one with an evaluation wedged in the
     # middle; the learned models must match exactly
     def train(with_eval):
-        env = DialogueEnv(make_task("env1-CR"), ontology=CR)
+        env = DialogueEnv(make_task("env1-CR"))
         policy = GPSarsaPolicy(belief_dim(CR), env.action_count,
                                GPSarsaConfig())
         rng = seed_stream(0, TRAIN_STREAM)
@@ -184,8 +184,7 @@ def test_truncated_checkpoint_is_reported_by_path(tmp_path):
 def test_learner_checkpoint_refuses_another_domain(tmp_path):
     spec = RunSpec("env1-CR", "dqn", seeds=(0,), train_dialogues=2,
                    eval_points=(2,), test_dialogues=1, out_dir=tmp_path)
-    run_training(spec, ontology=CR, policy_overrides={"hidden1": 8,
-                                                      "hidden2": 4})
+    run_training(spec, policy_overrides={"hidden1": 8, "hidden2": 4})
     path = checkpoint_path(tmp_path, "env1-CR", "dqn", 0, 2)
     sfr = generate_domain("SFR")
     with pytest.raises(ValueError) as refused:
@@ -196,7 +195,7 @@ def test_learner_checkpoint_refuses_another_domain(tmp_path):
     assert load_policy(path, ontology=CR).obs_dim == belief_dim(CR)
 
 
-def test_run_training_builds_one_env_per_run(monkeypatch):
+def test_run_training_builds_one_env_per_run(monkeypatch, tmp_path):
     from dialbench import environment
 
     domains = []
@@ -206,8 +205,9 @@ def test_run_training_builds_one_env_per_run(monkeypatch):
         return generate_domain(code)
     monkeypatch.setattr(environment, "generate_domain", counted)
     spec = RunSpec("env1-CR", "handcrafted", seeds=(0, 1, 2),
-                   train_dialogues=2, eval_points=(2,), test_dialogues=2)
-    run_training(spec, write_files=False)
+                   train_dialogues=2, eval_points=(2,), test_dialogues=2,
+                   out_dir=tmp_path)
+    run_training(spec)
     assert domains == ["CR"]
 
 
@@ -219,7 +219,7 @@ def handcrafted_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("runs")
     spec = RunSpec("env1-CR", "handcrafted", seeds=(0, 1), train_dialogues=10,
                    eval_points=(5, 10), test_dialogues=30, out_dir=out)
-    result = run_training(spec, ontology=CR)
+    result = run_training(spec)
     return spec, result
 
 
@@ -282,7 +282,7 @@ def test_rerun_is_byte_identical(tmp_path):
         out = tmp_path / sub
         spec = RunSpec("env1-CR", "gpsarsa", seeds=(0,), train_dialogues=4,
                        eval_points=(2, 4), test_dialogues=5, out_dir=out)
-        run_training(spec, ontology=CR)
+        run_training(spec)
         outs.append(spec)
     first = curve_csv_path(outs[0]).read_bytes()
     second = curve_csv_path(outs[1]).read_bytes()
@@ -382,7 +382,7 @@ def cross_checkpoints(tmp_path_factory):
         spec = RunSpec(f"env{env_index}-CR", "handcrafted", seeds=(0,),
                        train_dialogues=2, eval_points=(2,), test_dialogues=3,
                        out_dir=out)
-        run_training(spec, ontology=CR)
+        run_training(spec)
     return out
 
 
