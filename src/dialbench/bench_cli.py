@@ -11,6 +11,7 @@ internal fault and propagates with its traceback (exit 1).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 from dialbench.config import HARNESS, ConfigError, check_type, load_config, parse_list
 from dialbench.domain import DOMAIN_CODES
 from dialbench.environment import TaskConfig, list_tasks, make_task
-from dialbench.error_channel import PRESETS, params_with
+from dialbench.error_channel import PRESETS
 from dialbench.harness import (
     DEFAULT_EVAL_POINTS,
     MissingArtifact,
@@ -164,7 +165,7 @@ def _error_params(config: dict, task: TaskConfig):
                           f"runs at its fixed rate {task.ser}")
     base = PRESETS[section.pop("preset", task.error_preset)]
     try:
-        return params_with(base, **section)
+        return dataclasses.replace(base, **section)
     except ValueError as exc:
         raise ConfigError(f"bad [errormodel] override: {exc}") from exc
 
@@ -257,7 +258,8 @@ def cmd_benchmark(args, config) -> int:
 def cmd_cross(args, config) -> int:
     settings = _settings("cross", args, config)
     algos = _algos(args, config, "all")
-    domains = _names(args.domains or "CR,SFR,LAP", "domain", DOMAIN_CODES)
+    raw = args.domains if args.domains is not None else "CR,SFR,LAP"
+    domains = _names(raw, "domain", DOMAIN_CODES)
     path = run_cross_task(Path(settings["out"]), algos, domains,
                           settings["seeds"], settings["test_dialogues"])
     print(f"cross matrix: {path}")

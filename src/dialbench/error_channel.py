@@ -13,7 +13,7 @@ and ``noisy30``, wired to the six standard environments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -160,9 +160,6 @@ PRESETS = {
         p_null_top=0.1, p_empty_nbest=0.02, p_true_in_nbest=0.65,
     ),
 }
-
-def params_with(base: ErrorParams, **overrides: float) -> ErrorParams:
-    return replace(base, **overrides)
 
 
 def _weighted_index(n: int, concentration: float,

@@ -48,7 +48,8 @@ class A2CConfig:
     iw_clip: float = 2.0
 
     def __post_init__(self) -> None:
-        require_counts(self, "window", "anneal_dialogues")
+        require_counts(self, "hidden1", "hidden2", "window",
+                       "anneal_dialogues")
 
 
 @dataclass

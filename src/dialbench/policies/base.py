@@ -4,8 +4,8 @@ net learners, checkpoint format.
 A checkpoint is one ``.npz`` file: a JSON header plus the policy's named
 arrays.  The header carries everything ``make_policy`` needs to rebuild
 the policy (algorithm, dimensions, the complete config, and the domain
-for policies bound to one); the arrays are handed to the rebuilt policy's
-``restore_arrays``.
+for policies bound to one); the arrays are copied into the policy
+``make_policy`` rebuilds from it, by its ``restore_arrays``.
 """
 
 from __future__ import annotations
@@ -21,14 +21,15 @@ import numpy as np
 from dialbench.artifacts import atomic_writer
 from dialbench.belief_tracker import BeliefState, belief_dim
 from dialbench.domain import Ontology
-from dialbench.rl_core import Net2, init_net
+from dialbench.rl_core import init_net
 
 CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
     """A checkpoint file that cannot be read back: damaged, of another
-    format version, missing header fields, or built for another domain."""
+    format version, built for another domain, or with a header or arrays
+    that do not rebuild a policy."""
 
 
 def require_counts(config, *names: str) -> None:
@@ -104,7 +105,8 @@ class Policy:
         return {}
 
     def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Inverse of ``state_arrays`` on a freshly built policy."""
+        """Inverse of ``state_arrays`` on a freshly built policy; raises
+        ``KeyError`` or ``ValueError`` for arrays that do not fit it."""
 
     def save(self, path: str | Path) -> None:
         header = {
@@ -149,7 +151,13 @@ class NetLearner(Policy):
         return self.net.named_params()
 
     def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.net = Net2.from_arrays(arrays)
+        # into the net the config sized, so its optimizer state and
+        # buffers keep fitting it
+        for name, view in self.net.named_params().items():
+            if arrays[name].shape != view.shape:
+                raise ValueError(f"{name} has shape {arrays[name].shape}, "
+                                 f"expected {view.shape}")
+            view[...] = arrays[name]
 
 
 def uniform_legal(mask: np.ndarray, rng: np.random.Generator) -> int:
@@ -199,22 +207,24 @@ def load_policy(path: str | Path, ontology: Ontology | None = None) -> Policy:
     from dialbench.policies import make_policy  # the registry imports us
 
     algorithm, header, arrays = load_checkpoint(path)
-    missing = {"obs_dim", "action_count", "config"} - header.keys()
-    if missing:
-        raise CheckpointError(f"checkpoint {path} lacks {sorted(missing)}")
-    domain = header.get("domain")
+    try:
+        policy = make_policy(algorithm, header["obs_dim"],
+                             header["action_count"], ontology=ontology,
+                             **header["config"])
+        policy.restore_arrays(arrays)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path} does not rebuild a policy: "
+                              f"{type(exc).__name__}: {exc}") from exc
     if ontology is not None:
         # a domain-bound policy names its domain; a learner is checked
         # by the width of the belief vector it reads
+        domain = header.get("domain")
         if domain and domain != ontology.code:
             raise CheckpointError(f"checkpoint {path} was built for "
                                   f"{domain}, got ontology {ontology.code}")
-        if not domain and header["obs_dim"] != belief_dim(ontology):
+        if not domain and policy.obs_dim != belief_dim(ontology):
             raise CheckpointError(
                 f"checkpoint {path} reads beliefs of width "
-                f"{header['obs_dim']}, but the {ontology.code} ontology's "
+                f"{policy.obs_dim}, but the {ontology.code} ontology's "
                 f"belief has width {belief_dim(ontology)}")
-    policy = make_policy(algorithm, header["obs_dim"], header["action_count"],
-                         ontology=ontology, **header["config"])
-    policy.restore_arrays(arrays)
     return policy

@@ -46,7 +46,7 @@ class DQNConfig:
     gamma: float = 0.99
 
     def __post_init__(self) -> None:
-        require_counts(self, "buffer_size", "minibatch",
+        require_counts(self, "hidden1", "hidden2", "buffer_size", "minibatch",
                        "target_sync_dialogues", "anneal_dialogues")
 
 
@@ -136,4 +136,4 @@ class DQNPolicy(NetLearner):
     def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         # the target net restarts in sync with the Q-net; Adam starts fresh
         super().restore_arrays(arrays)
-        self.target_net = self.net.copy()
+        np.copyto(self.target_net.theta, self.net.theta)

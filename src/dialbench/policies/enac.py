@@ -36,7 +36,7 @@ class ENACConfig:
     ridge: float = 1e-4
 
     def __post_init__(self) -> None:
-        require_counts(self, "anneal_dialogues")
+        require_counts(self, "hidden1", "hidden2", "anneal_dialogues")
 
 
 def enac_natural_gradient(phis: np.ndarray, returns: np.ndarray,

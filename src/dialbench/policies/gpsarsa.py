@@ -218,10 +218,6 @@ class GPSarsaPolicy(Policy):
 
     # -- acting --------------------------------------------------------------
 
-    def q_posterior(self, observation: np.ndarray, action: int) -> tuple[float, float]:
-        x = np.asarray(observation, dtype=float)
-        return self.blocks[action].posterior(x, float(x @ x))
-
     def act(self, observation: np.ndarray, mask: np.ndarray,
             rng: np.random.Generator,
             belief: BeliefState | None = None) -> int:
@@ -291,5 +287,10 @@ class GPSarsaPolicy(Policy):
         for a, block in enumerate(self.blocks):
             block.x, block.ysum, block.counts = (
                 arrays[f"{name}_{a}"] for name in ("x", "ysum", "counts"))
+            shapes = (block.x.shape, block.ysum.shape, block.counts.shape)
+            n = len(block.x)
+            if shapes != ((n, self.obs_dim), (n,), (n,)):
+                raise ValueError(f"block {a} has points, sums and counts of "
+                                 f"shapes {shapes} for width {self.obs_dim}")
             block._refresh()
         self.total_points = sum(block.n for block in self.blocks)

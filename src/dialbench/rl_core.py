@@ -49,19 +49,6 @@ class Net2:
         self.theta = theta
         self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = self.split(theta)
 
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> Net2:
-        """Pack named arrays, as ``named_params`` gives them, into a new
-        parameter vector."""
-        n_in, h1 = arrays["w1"].shape
-        net = cls((n_in, h1, arrays["w2"].shape[1], arrays["w3"].shape[1]))
-        for name, view in net.named_params().items():
-            if arrays[name].shape != view.shape:
-                raise ValueError(f"{name} has shape {arrays[name].shape}, "
-                                 f"expected {view.shape}")
-            view[...] = arrays[name]
-        return net
-
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
         """Views of a vector laid out like ``theta``, one per parameter."""
         views, offset = [], 0
@@ -75,7 +62,7 @@ class Net2:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
     def named_params(self) -> dict[str, np.ndarray]:
-        """Parameters by name; ``Net2.from_arrays(named)`` rebuilds."""
+        """Parameters by name, as views into ``theta``."""
         return dict(zip(PARAM_NAMES, self.params()))
 
     def copy(self) -> Net2:

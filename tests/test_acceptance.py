@@ -6,6 +6,7 @@ CPU, fully deterministic).  Criterion 17 checks that the benchmark verb
 is byte-reproducible.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -16,7 +17,7 @@ from dialbench.belief_tracker import init_belief, update
 from dialbench.bench_cli import main as cli_main
 from dialbench.domain import DOMAIN_CODES, generate_domain
 from dialbench.environment import DialogueEnv, list_tasks, make_task
-from dialbench.error_channel import PRESETS, corrupt, params_with
+from dialbench.error_channel import PRESETS, corrupt
 from dialbench.harness import RunSpec, run_training
 from dialbench.policies import (
     A2CConfig,
@@ -39,7 +40,7 @@ from dialbench.semantics import DialogueAct
 
 from test_belief_tracker import slot_beliefs
 from test_error_channel import is_corrupted, sample_acts
-from test_gpsarsa import dense_posterior
+from test_gpsarsa import dense_posterior, q_posterior
 from test_policies_common import (
     CORRIDOR_SETUPS,
     greedy_corridor_return,
@@ -138,7 +139,7 @@ def test_04_belief_normalization():
 def test_05_error_channel_ser():
     ontology = generate_domain("CR")
     for ser, preset in ((0.15, "noisy15"), (0.30, "noisy30")):
-        params = params_with(PRESETS[preset], ser=ser)
+        params = dataclasses.replace(PRESETS[preset], ser=ser)
         rng = np.random.default_rng(5)
         acts = sample_acts(ontology, rng, 100_000)
         hits = sum(is_corrupted(corrupt(act, params, ontology, rng), act)
@@ -257,7 +258,7 @@ def test_09_gp_dense_oracle():
         xs, ys = fed[a]
         for _ in range(5):
             probe = rng.random(30)
-            mean, var = policy.q_posterior(probe, a)
+            mean, var = q_posterior(policy, probe, a)
             ref_mean, ref_var = dense_posterior(xs, ys, np.ones(len(xs)),
                                                 config.sigma2, probe)
             assert mean == pytest.approx(ref_mean, abs=1e-6)

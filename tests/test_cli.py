@@ -9,7 +9,7 @@ from dialbench import bench_cli, harness
 from dialbench.bench_cli import main
 from dialbench.config import KEYS, SECTIONS
 from dialbench.environment import list_tasks
-from dialbench.policies import load_policy
+from dialbench.policies import load_checkpoint, load_policy, save_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +153,7 @@ def train_cr_checkpoints(capsys, out):
     ("benchmark", "--task", ",", "tasks must not be empty"),
     ("benchmark", "--algo", ",", "algorithms must not be empty"),
     ("cross", "--domains", ",", "domains must not be empty"),
+    ("cross", "--domains", "", "domains must not be empty"),
     ("benchmark", "--task", "env1-CR,env1-CR,env2-CR",
      "tasks must be distinct"),
     ("benchmark", "--algo", "handcrafted,handcrafted",
@@ -220,6 +221,9 @@ def test_harness_key_refused_alike_from_flag_and_file(capsys, tmp_path, key,
     ("handcrafted", "[errormodel]\nconf_correct_a = nan\n"),
     ("dqn", "[policy]\nlr = nan\n"),
     ("dqn", "[policy]\ngamma = nan\n"),
+    ("dqn", "[policy]\nhidden1 = 0\n"),
+    ("a2c", "[policy]\nhidden2 = 0\n"),
+    ("enac", "[policy]\nhidden1 = -1\n"),
 ])
 def test_out_of_range_setting_exits_2_before_any_dialogue(
         capsys, tmp_path, monkeypatch, algo, setting):
@@ -302,6 +306,57 @@ def test_checkpoint_of_another_domain_exits_3(capsys, tmp_path):
                            "--test-dialogues", "2", "--out", str(tmp_path))
     assert code == 3
     assert "width" in err
+
+
+@pytest.fixture(scope="module")
+def dqn_checkpoint(tmp_path_factory):
+    """The algorithm, header and arrays of an env1-CR DQN checkpoint."""
+    out = tmp_path_factory.mktemp("dqn")
+    assert main(["train", "--task", "env1-CR", "--algo", "dqn",
+                 "--seeds", "0", "--dialogues", "2", "--eval-at", "2",
+                 "--test-dialogues", "2", "--out", str(out)]) == 0
+    return load_checkpoint(out / "checkpoints/env1-CR/dqn/seed0-d2.npz")
+
+
+def _without(entries: dict, key: str) -> dict:
+    return {k: v for k, v in entries.items() if k != key}
+
+
+def _with_config(header: dict, **changes) -> dict:
+    return {**header, "config": {**header["config"], **changes}}
+
+
+@pytest.mark.parametrize("malform, message", [
+    (lambda algo, header, arrays: ("tabular", header, arrays),
+     "unknown algorithm 'tabular'"),
+    (lambda algo, header, arrays: (algo, _with_config(header, momentum=0.9),
+                                   arrays),
+     "momentum"),
+    (lambda algo, header, arrays: (algo, _with_config(header, minibatch=0),
+                                   arrays),
+     "minibatch must be at least 1"),
+    (lambda algo, header, arrays: (algo, header, _without(arrays, "w2")),
+     "KeyError: 'w2'"),
+    (lambda algo, header, arrays: (algo, header,
+                                   {**arrays, "w3": arrays["w3"][:, 1:]}),
+     "w3 has shape"),
+    (lambda algo, header, arrays: (algo, _without(header, "config"), arrays),
+     "KeyError: 'config'"),
+], ids=["unknown-algorithm", "unknown-config-key", "config-out-of-range",
+        "missing-array", "w3-of-another-width", "header-lacks-config"])
+def test_checkpoint_that_does_not_rebuild_exits_3(capsys, tmp_path,
+                                                  dqn_checkpoint, malform,
+                                                  message):
+    # a file that does not rebuild its policy is a bad artifact, not an
+    # internal fault with a traceback
+    path = tmp_path / "checkpoints/env1-CR/dqn/seed0-d2.npz"
+    path.parent.mkdir(parents=True)
+    save_checkpoint(path, *malform(*dqn_checkpoint))
+    code, _, err = run_cli(capsys, "eval", "--task", "env1-CR",
+                           "--algo", "dqn", "--seeds", "0",
+                           "--test-dialogues", "2", "--out", str(tmp_path))
+    assert code == 3
+    assert str(path) in err and message in err
 
 
 def test_internal_fault_is_not_a_config_error(monkeypatch, tmp_path):

@@ -285,6 +285,22 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(restored.net.w1, restored.target_net.w1)
 
 
+def test_restore_fills_the_net_its_config_sized():
+    # Adam's moments and the gradient buffer are sized for the net the
+    # config built, so the arrays must land in that net
+    donor = DQNPolicy(4, 3, tiny_config(), init_rng=np.random.default_rng(1))
+    policy = DQNPolicy(4, 3, tiny_config())
+    theta, target_theta = policy.net.theta, policy.target_net.theta
+    policy.restore_arrays(donor.state_arrays())
+    assert policy.net.theta is theta and policy.target_net.theta is target_theta
+    assert np.array_equal(theta, donor.net.theta)
+    assert np.array_equal(target_theta, theta)
+    arrays = DQNPolicy(4, 3, tiny_config(hidden2=11)).state_arrays()
+    with pytest.raises(ValueError, match=r"w2 has shape \(24, 11\), "
+                                         r"expected \(24, 12\)"):
+        policy.restore_arrays(arrays)
+
+
 def test_load_rejects_foreign_checkpoint(tmp_path):
     path = tmp_path / "other.npz"
     save_checkpoint(path, "gpsarsa", {"obs_dim": 2}, {"w": np.zeros(2)})

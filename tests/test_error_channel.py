@@ -10,7 +10,6 @@ from dialbench.error_channel import (
     PRESETS,
     ErrorParams,
     corrupt,
-    params_with,
 )
 from dialbench.semantics import DialogueAct, NBestList, serialize_act
 
@@ -68,26 +67,26 @@ def test_presets_exist_for_all_envs():
 
 def test_confusion_kernel_must_sum_to_one():
     with pytest.raises(ValueError):
-        params_with(PRESETS["noisy15"], p_confuse_acttype=0.5,
-                    p_confuse_slot=0.5, p_confuse_value=0.5)
+        dataclasses.replace(PRESETS["noisy15"], p_confuse_acttype=0.5,
+                            p_confuse_slot=0.5, p_confuse_value=0.5)
 
 
 def test_ser_range_validated():
     with pytest.raises(ValueError):
-        params_with(PRESETS["noisy15"], ser=1.5)
+        dataclasses.replace(PRESETS["noisy15"], ser=1.5)
     with pytest.raises(ValueError):
-        params_with(PRESETS["noisy15"], ser=-0.01)
+        dataclasses.replace(PRESETS["noisy15"], ser=-0.01)
 
 
 def test_length_weights_validated():
     with pytest.raises(ValueError):
-        params_with(PRESETS["noisy15"], len_w1=-1.0)
+        dataclasses.replace(PRESETS["noisy15"], len_w1=-1.0)
 
 
 @pytest.mark.parametrize("ser", [0.15, 0.30])
 def test_empirical_ser_tracks_configured(ontology, ser):
-    params = params_with(PRESETS["noisy30" if ser == 0.30 else "noisy15"],
-                         ser=ser)
+    params = dataclasses.replace(PRESETS["noisy30" if ser == 0.30 else "noisy15"],
+                                 ser=ser)
     rng = np.random.default_rng(42)
     acts = sample_acts(ontology, rng, 100_000)
     hits = sum(is_corrupted(corrupt(act, params, ontology, rng), act)
@@ -142,8 +141,8 @@ def test_confidence_is_informative(ontology):
 
 
 def test_corrupted_top_differs_from_true_act(ontology):
-    params = params_with(PRESETS["noisy15"], ser=1.0, p_empty_nbest=0.0,
-                         p_null_top=0.0)
+    params = dataclasses.replace(PRESETS["noisy15"], ser=1.0, p_empty_nbest=0.0,
+                                 p_null_top=0.0)
     rng = np.random.default_rng(23)
     for act in sample_acts(ontology, rng, 3000):
         nbest = corrupt(act, params, ontology, rng)
@@ -151,7 +150,7 @@ def test_corrupted_top_differs_from_true_act(ontology):
 
 
 def test_empty_nbest_rate(ontology):
-    params = params_with(PRESETS["noisy15"], ser=1.0, p_empty_nbest=0.5)
+    params = dataclasses.replace(PRESETS["noisy15"], ser=1.0, p_empty_nbest=0.5)
     rng = np.random.default_rng(29)
     acts = sample_acts(ontology, rng, 20_000)
     empties = sum(not corrupt(a, params, ontology, rng).hypotheses
@@ -161,9 +160,9 @@ def test_empty_nbest_rate(ontology):
 
 def test_null_top_rate(ontology):
     # value-only confusions so no other route can produce a null top
-    params = params_with(PRESETS["noisy15"], ser=1.0, p_empty_nbest=0.0,
-                         p_null_top=0.5, p_confuse_acttype=0.0,
-                         p_confuse_slot=0.0, p_confuse_value=1.0)
+    params = dataclasses.replace(PRESETS["noisy15"], ser=1.0, p_empty_nbest=0.0,
+                                 p_null_top=0.5, p_confuse_acttype=0.0,
+                                 p_confuse_slot=0.0, p_confuse_value=1.0)
     rng = np.random.default_rng(31)
     acts = sample_acts(ontology, rng, 20_000)
     nulls = 0
@@ -174,10 +173,10 @@ def test_null_top_rate(ontology):
 
 
 def test_true_act_buried_when_kept(ontology):
-    params = params_with(PRESETS["noisy15"], ser=1.0, p_empty_nbest=0.0,
-                         p_null_top=0.0, p_true_in_nbest=1.0,
-                         len_w1=0.0, len_w2=0.0, len_w3=0.0, len_w4=0.0,
-                         len_w5=1.0)
+    params = dataclasses.replace(PRESETS["noisy15"], ser=1.0, p_empty_nbest=0.0,
+                                 p_null_top=0.0, p_true_in_nbest=1.0,
+                                 len_w1=0.0, len_w2=0.0, len_w3=0.0, len_w4=0.0,
+                                 len_w5=1.0)
     rng = np.random.default_rng(37)
     buried = 0
     total = 0
@@ -192,9 +191,9 @@ def test_true_act_buried_when_kept(ontology):
 
 
 def test_length_distribution_respected(ontology):
-    params = params_with(PRESETS["noisy15"], ser=1.0, p_empty_nbest=0.0,
-                         len_w1=1.0, len_w2=0.0, len_w3=0.0, len_w4=0.0,
-                         len_w5=0.0)
+    params = dataclasses.replace(PRESETS["noisy15"], ser=1.0, p_empty_nbest=0.0,
+                                 len_w1=1.0, len_w2=0.0, len_w3=0.0, len_w4=0.0,
+                                 len_w5=0.0)
     rng = np.random.default_rng(41)
     for act in sample_acts(ontology, rng, 2000):
         nbest = corrupt(act, params, ontology, rng)

@@ -9,6 +9,8 @@ by position.  None of that may change a draw, so every n-best list and
 every stream state must be equal, not close.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from dialbench.error_channel import (
     _cdf,
     _draw,
     corrupt,
-    params_with,
 )
 from dialbench.semantics import (
     ACT_TYPES,
@@ -267,7 +268,7 @@ def ref_corrupt(act: DialogueAct, params: ErrorParams, ontology: Ontology,
 # several items touched at once and riders on, so that name items, the
 # weighted draws and the per-item paths all run often.
 PARAMS = dict(PRESETS)
-PARAMS["forced"] = params_with(
+PARAMS["forced"] = dataclasses.replace(
     PRESETS["noisy30"], ser=1.0, p_empty_nbest=0.0, p_null_top=0.0,
     value_conf_concentration=0.3, slot_conf_concentration=0.5,
     p_corrupt_single_item=0.5, p_drop_item=0.3, p_add_item=0.3)
@@ -403,4 +404,4 @@ def test_value_equality_is_text_equality(ontology):
 
 def test_length_table_needs_mass_within_nbest_max():
     with pytest.raises(ValueError, match="nbest_max"):
-        params_with(PRESETS["noisy15"], nbest_max=1, len_w1=0.0)
+        dataclasses.replace(PRESETS["noisy15"], nbest_max=1, len_w1=0.0)

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 import dialbench
-from dialbench.policies.base import Transition, load_policy, save_checkpoint
+from dialbench.policies.base import (
+    CheckpointError,
+    Transition,
+    load_policy,
+    save_checkpoint,
+)
 from dialbench.policies.gpsarsa import (
     GPSarsaConfig,
     GPSarsaPolicy,
@@ -35,6 +40,13 @@ def dense_posterior(xs, ys, counts, sigma2, probe):
     mean = float(k @ alpha)
     var = float(probe @ probe) - float(k @ np.linalg.solve(a, k))
     return mean, max(var, 0.0)
+
+
+def q_posterior(policy, observation, action):
+    """Posterior mean and variance of Q(observation, action), from the
+    GP of the action's block."""
+    x = np.asarray(observation, dtype=float)
+    return policy.blocks[action].posterior(x, float(x @ x))
 
 
 def a_inverse_error(block, config):
@@ -92,7 +104,7 @@ def test_posterior_matches_dense_oracle():
         assert policy.blocks[a].n == len(xs)  # distinct points, no merges
         for _ in range(5):
             probe = rng.random(30)
-            mean, var = policy.q_posterior(probe, a)
+            mean, var = q_posterior(policy, probe, a)
             ref_mean, ref_var = dense_posterior(
                 xs, ys, np.ones(len(xs)), config.sigma2, probe
             )
@@ -110,7 +122,7 @@ def test_posterior_with_merged_observations():
     assert block.n == 1
     assert block.counts[0] == 3.0
     assert block.ysum[0] == 9.0
-    mean, var = policy.q_posterior(x, 0)
+    mean, var = q_posterior(policy, x, 0)
     ref_mean, ref_var = dense_posterior([x], [9.0], [3.0], config.sigma2, x)
     assert mean == pytest.approx(ref_mean, abs=1e-9)
     assert var == pytest.approx(ref_var, abs=1e-9)
@@ -118,7 +130,7 @@ def test_posterior_with_merged_observations():
 
 def test_empty_posterior_is_prior():
     policy = GPSarsaPolicy(obs_dim=3, action_count=2)
-    mean, var = policy.q_posterior(np.array([0.0, 2.0, 0.0]), 1)
+    mean, var = q_posterior(policy, np.array([0.0, 2.0, 0.0]), 1)
     assert mean == 0.0
     assert var == 4.0
 
@@ -195,7 +207,7 @@ def test_pending_transition_bootstraps_on_next_action():
     s0, s1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     # seed block 1 so the bootstrap term is nonzero
     policy._ingest(s1, 1, 4.0)
-    boot, _ = policy.q_posterior(s1, 1)
+    boot, _ = q_posterior(policy, s1, 1)
     assert boot != 0.0
     policy.observe(transition(s0, 0, -1.0, s1, False, 2), np.random.default_rng(0))
     assert policy.blocks[0].n == 0  # held until the next action is known
@@ -259,8 +271,8 @@ def test_chain_mdp_learns_greedy_advance():
     policy.begin_dialogue(0, training=False)
     assert policy.act(s0, mask, rng) == ADV
     assert policy.act(s1, mask, rng) == ADV
-    q_adv, _ = policy.q_posterior(s1, ADV)
-    q_stay, _ = policy.q_posterior(s1, STAY)
+    q_adv, _ = q_posterior(policy, s1, ADV)
+    q_stay, _ = q_posterior(policy, s1, STAY)
     assert q_adv > q_stay
     assert q_adv > 5.0  # shrunk toward the prior but clearly positive
 
@@ -281,8 +293,8 @@ def test_save_load_round_trip(tmp_path):
     assert restored.total_points == policy.total_points
     probe = rng.random(5)
     for a in range(3):
-        assert restored.q_posterior(probe, a) == pytest.approx(
-            policy.q_posterior(probe, a), abs=1e-9
+        assert q_posterior(restored, probe, a) == pytest.approx(
+            q_posterior(policy, probe, a), abs=1e-9
         )
 
 
@@ -356,6 +368,23 @@ def test_restore_does_not_reuse_the_kept_gram_matrix():
         assert np.array_equal(block.x, other.x)
         dense = np.linalg.inv(block.x @ block.x.T + config.jitter * np.eye(block.n))
         assert block.k_inv.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("name, cut", [("x_0", np.s_[:, :2]),
+                                       ("x_0", np.s_[0]),
+                                       ("counts_0", np.s_[:-1])])
+def test_load_refuses_points_that_do_not_fit(tmp_path, name, cut):
+    policy = GPSarsaPolicy(obs_dim=3, action_count=2)
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        policy._ingest(rng.random(3), 0, 1.0)
+    arrays = policy.state_arrays()
+    arrays[name] = arrays[name][cut]
+    path = tmp_path / "gp.npz"
+    save_checkpoint(path, "gpsarsa", {"obs_dim": 3, "action_count": 2,
+                                      "config": {}, "domain": None}, arrays)
+    with pytest.raises(CheckpointError, match="block 0 has points"):
+        load_policy(path)
 
 
 def test_load_rejects_foreign_checkpoint(tmp_path):

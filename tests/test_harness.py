@@ -33,6 +33,8 @@ from dialbench.policies import (
 )
 from dialbench.seeding import TRAIN_STREAM, seed_stream
 
+from test_gpsarsa import q_posterior
+
 CR = generate_domain("CR")
 
 
@@ -133,7 +135,7 @@ def test_evaluation_does_not_perturb_training():
     probe = np.zeros(belief_dim(CR))
     probe[0] = 1.0
     for a in range(plain.action_count):
-        assert plain.q_posterior(probe, a) == wedged.q_posterior(probe, a)
+        assert q_posterior(plain, probe, a) == q_posterior(wedged, probe, a)
 
 
 # ------------------------------------------------------------- checkpoints

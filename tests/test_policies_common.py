@@ -31,6 +31,8 @@ from dialbench.policies import (
 from dialbench.policies import base
 from dialbench.rl_core import forward, masked_softmax
 
+from test_gpsarsa import q_posterior
+
 
 # ------------------------------------------------------------- schedule
 
@@ -185,7 +187,7 @@ def test_older_checkpoint_versions_are_refused(tmp_path, monkeypatch):
 # What each learner maximizes when it acts greedily.
 GREEDY_VALUES = {
     "gpsarsa": lambda p, obs, mask: np.array(
-        [p.q_posterior(obs, a)[0] for a in range(p.action_count)]),
+        [q_posterior(p, obs, a)[0] for a in range(p.action_count)]),
     "dqn": lambda p, obs, mask: forward(p.net, obs),
     "a2c": lambda p, obs, mask: forward(p.net, obs)[:-1],
     "enac": lambda p, obs, mask: masked_softmax(forward(p.net, obs), mask)[0],

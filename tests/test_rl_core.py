@@ -4,7 +4,6 @@ import numpy as np
 
 from dialbench.policies import DQNConfig, DQNPolicy
 from dialbench.rl_core import (
-    Net2,
     adam_init,
     adam_step,
     backward,
@@ -364,7 +363,7 @@ def test_net_params_share_one_vector():
     for name, p in packed.named_params().items():
         assert p.base is packed.theta
         assert not np.shares_memory(p, arrays[name])
-    assert Net2.from_arrays(arrays).dims == net.dims
+    assert policy.net.dims == net.dims
 
 
 def test_net_copy_is_independent():
