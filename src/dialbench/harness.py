@@ -39,7 +39,7 @@ DEFAULT_EVAL_POINTS = (1000, 4000, 10000)
 
 
 class MissingArtifact(Exception):
-    """A required checkpoint or result file does not exist."""
+    """No finished run of a (task, algorithm), or none of a seed, to reload."""
 
 
 @dataclass(frozen=True)
@@ -156,24 +156,6 @@ def checkpoint_path(out_dir: Path, task_id: str, algorithm: str,
             / f"seed{seed}-d{point}.npz")
 
 
-def latest_checkpoint(out_dir: Path, task_id: str, algorithm: str,
-                      seed: int) -> Path:
-    folder = Path(out_dir) / "checkpoints" / task_id / algorithm
-    best: tuple[int, Path] | None = None
-    for path in folder.glob(f"seed{seed}-d*.npz"):
-        try:
-            point = int(path.stem.split("-d")[-1])
-        except ValueError:
-            continue
-        if best is None or point > best[0]:
-            best = (point, path)
-    if best is None:
-        raise MissingArtifact(
-            f"no checkpoint for task={task_id} algorithm={algorithm} "
-            f"seed={seed} under {folder}")
-    return best[1]
-
-
 def _build_policy(spec: RunSpec, env: DialogueEnv, run_seed: int,
                   policy_overrides: dict | None) -> Policy:
     obs_dim = belief_dim(env.ontology)
@@ -190,6 +172,10 @@ def run_training(spec: RunSpec, error_params=None, profile=None,
     env = DialogueEnv(make_task(spec.task_id), error_params=error_params,
                       profile=profile)
     result = TrainResult(spec, {p: {} for p in spec.eval_points})
+    # the summary is the record of a finished run: until this run writes
+    # its own, no earlier run's record may name the checkpoints it replaces
+    summary_json_path(spec.out_dir, spec.task_id,
+                      spec.algorithm).unlink(missing_ok=True)
 
     for run_seed in spec.seeds:
         policy = _build_policy(spec, env, run_seed, policy_overrides)
@@ -216,9 +202,8 @@ def curve_csv_path(spec: RunSpec) -> Path:
     return Path(spec.out_dir) / "curves" / f"{spec.task_id}-{spec.algorithm}.csv"
 
 
-def summary_json_path(spec: RunSpec) -> Path:
-    return (Path(spec.out_dir) / "summaries"
-            / f"{spec.task_id}-{spec.algorithm}.json")
+def summary_json_path(out_dir: Path, task_id: str, algorithm: str) -> Path:
+    return Path(out_dir) / "summaries" / f"{task_id}-{algorithm}.json"
 
 
 def write_curve_csv(result: TrainResult) -> Path:
@@ -243,7 +228,7 @@ def write_curve_csv(result: TrainResult) -> Path:
 
 def write_summary_json(result: TrainResult) -> Path:
     spec = result.spec
-    path = summary_json_path(spec)
+    path = summary_json_path(spec.out_dir, spec.task_id, spec.algorithm)
     points = []
     for point in spec.eval_points:
         sm, ss, rm, rs = result.mean_std(point)
@@ -361,17 +346,30 @@ def write_benchmark_table(cells: dict[tuple[str, str], ResultRow],
 def evaluate_checkpoint(out_dir: Path, task_id: str, algorithm: str,
                         seeds: tuple[int, ...], test_dialogues: int,
                         eval_task_id: str | None = None) -> dict:
-    """Reload saved policies and test them, optionally on another task
-    in the same domain."""
+    """Reload the policies of the finished run that the summary of
+    (task, algorithm) records, at its last milestone, and test them,
+    optionally on another task in the same domain."""
     target_id = eval_task_id or task_id
     task = make_task(target_id)
     if task.domain_code != make_task(task_id).domain_code:
         raise ValueError("cross-task evaluation must stay in one domain")
+    path = summary_json_path(out_dir, task_id, algorithm)
+    try:
+        summary = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise MissingArtifact(f"no finished run of {algorithm} on {task_id}: "
+                              f"{path} does not exist") from None
+    untrained = [seed for seed in seeds if seed not in summary["seeds"]]
+    if untrained:
+        raise MissingArtifact(f"seeds {untrained} are not among the seeds "
+                              f"{summary['seeds']} that {path} records")
     env = DialogueEnv(task)
     per_seed = {}
     for seed in seeds:
-        path = latest_checkpoint(out_dir, task_id, algorithm, seed)
-        policy = load_policy(path, ontology=env.ontology)
+        policy = load_policy(
+            checkpoint_path(out_dir, task_id, algorithm, seed,
+                            summary["train_dialogues"]),
+            ontology=env.ontology)
         succ, rew = evaluate(env, policy, seed, 0, test_dialogues)
         per_seed[seed] = {"success": succ, "reward": rew}
     succ = float(np.mean([v["success"] for v in per_seed.values()]))

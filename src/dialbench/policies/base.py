@@ -185,9 +185,6 @@ def save_checkpoint(path: str | Path, algorithm: str, meta: dict,
 
 
 def load_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
     try:
         with np.load(path, allow_pickle=False) as payload:
             header = json.loads(bytes(payload["__header__"]).decode())

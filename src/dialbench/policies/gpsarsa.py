@@ -292,5 +292,7 @@ class GPSarsaPolicy(Policy):
             if shapes != ((n, self.obs_dim), (n,), (n,)):
                 raise ValueError(f"block {a} has points, sums and counts of "
                                  f"shapes {shapes} for width {self.obs_dim}")
+            if not np.all(block.counts >= 1):   # refuses NaN as well
+                raise ValueError(f"block {a} has a count below 1")
             block._refresh()
         self.total_points = sum(block.n for block in self.blocks)

@@ -2,13 +2,14 @@
 
 import argparse
 import json
+import shutil
 
 import pytest
 
 from dialbench import bench_cli, harness
 from dialbench.bench_cli import main
 from dialbench.config import KEYS, SECTIONS
-from dialbench.environment import list_tasks
+from dialbench.environment import DialogueEnv, list_tasks, make_task
 from dialbench.policies import load_checkpoint, load_policy, save_checkpoint
 
 
@@ -301,6 +302,8 @@ def test_checkpoint_of_another_domain_exits_3(capsys, tmp_path):
     assert code == 0
     checkpoints = tmp_path / "checkpoints"
     (checkpoints / "env1-CR").rename(checkpoints / "env1-SFR")
+    summaries = tmp_path / "summaries"
+    (summaries / "env1-CR-dqn.json").rename(summaries / "env1-SFR-dqn.json")
     code, _, err = run_cli(capsys, "eval", "--task", "env1-SFR",
                            "--algo", "dqn", "--seeds", "0",
                            "--test-dialogues", "2", "--out", str(tmp_path))
@@ -308,14 +311,18 @@ def test_checkpoint_of_another_domain_exits_3(capsys, tmp_path):
     assert "width" in err
 
 
-@pytest.fixture(scope="module")
-def dqn_checkpoint(tmp_path_factory):
-    """The algorithm, header and arrays of an env1-CR DQN checkpoint."""
-    out = tmp_path_factory.mktemp("dqn")
+def train_dqn(out, seeds, dialogues, *extra):
     assert main(["train", "--task", "env1-CR", "--algo", "dqn",
-                 "--seeds", "0", "--dialogues", "2", "--eval-at", "2",
-                 "--test-dialogues", "2", "--out", str(out)]) == 0
-    return load_checkpoint(out / "checkpoints/env1-CR/dqn/seed0-d2.npz")
+                 "--seeds", seeds, "--dialogues", dialogues,
+                 "--test-dialogues", "2", "--out", str(out), *extra]) == 0
+
+
+@pytest.fixture(scope="module")
+def dqn_run(tmp_path_factory):
+    """The output folder of an env1-CR DQN run: seed 0, 2 dialogues."""
+    out = tmp_path_factory.mktemp("dqn")
+    train_dqn(out, "0", "2")
+    return out
 
 
 def _without(entries: dict, key: str) -> dict:
@@ -344,14 +351,15 @@ def _with_config(header: dict, **changes) -> dict:
      "KeyError: 'config'"),
 ], ids=["unknown-algorithm", "unknown-config-key", "config-out-of-range",
         "missing-array", "w3-of-another-width", "header-lacks-config"])
-def test_checkpoint_that_does_not_rebuild_exits_3(capsys, tmp_path,
-                                                  dqn_checkpoint, malform,
-                                                  message):
+def test_checkpoint_that_does_not_rebuild_exits_3(capsys, tmp_path, dqn_run,
+                                                  malform, message):
     # a file that does not rebuild its policy is a bad artifact, not an
     # internal fault with a traceback
-    path = tmp_path / "checkpoints/env1-CR/dqn/seed0-d2.npz"
+    shutil.copytree(dqn_run / "summaries", tmp_path / "summaries")
+    name = "checkpoints/env1-CR/dqn/seed0-d2.npz"
+    path = tmp_path / name
     path.parent.mkdir(parents=True)
-    save_checkpoint(path, *malform(*dqn_checkpoint))
+    save_checkpoint(path, *malform(*load_checkpoint(dqn_run / name)))
     code, _, err = run_cli(capsys, "eval", "--task", "env1-CR",
                            "--algo", "dqn", "--seeds", "0",
                            "--test-dialogues", "2", "--out", str(tmp_path))
@@ -398,6 +406,71 @@ def test_train_then_eval_round_trip(capsys, tmp_path):
     assert report["trained_on"] == "env1-CR"
     assert report["evaluated_on"] == "env1-CR"
     assert 0.0 <= report["success_mean"] <= 1.0
+
+
+@pytest.fixture(scope="module")
+def retrained(tmp_path_factory):
+    """A DQN run (seeds 0 and 1, 4 dialogues, default widths), then a
+    second run in the same folder (seed 0, 2 dialogues, hidden1 = 8)."""
+    out = tmp_path_factory.mktemp("retrained")
+    train_dqn(out, "0,1", "4")
+    ini = out / "narrow.ini"
+    ini.write_text("[policy]\nhidden1 = 8\n")
+    train_dqn(out, "0", "2", "--config", str(ini))
+    return out
+
+
+def test_eval_loads_the_checkpoint_the_summary_names(capsys, retrained):
+    # seed0-d4.npz of the first run is the higher-numbered file, but the
+    # summary records the second run, which ended at 2 dialogues
+    code, out, _ = run_cli(capsys, "eval", "--task", "env1-CR", "--algo", "dqn",
+                           "--seeds", "0", "--test-dialogues", "20",
+                           "--out", str(retrained))
+    assert code == 0
+    policy = load_policy(retrained / "checkpoints/env1-CR/dqn/seed0-d2.npz")
+    assert policy.config.hidden1 == 8
+    success, reward = harness.evaluate(DialogueEnv(make_task("env1-CR")),
+                                       policy, 0, 0, 20)
+    assert json.loads(out)["per_seed"]["0"] == {"success": success,
+                                                "reward": reward}
+
+
+def test_eval_of_a_seed_the_run_did_not_train_exits_3(capsys, retrained):
+    code, _, err = run_cli(capsys, "eval", "--task", "env1-CR", "--algo", "dqn",
+                           "--seeds", "0,1", "--test-dialogues", "2",
+                           "--out", str(retrained))
+    assert code == 3
+    assert "env1-CR-dqn.json" in err and "[0]" in err
+
+
+def test_eval_after_a_failed_run_exits_3(capsys, tmp_path, monkeypatch):
+    train_dqn(tmp_path, "0,1", "2")
+    run_episode = harness.run_episode
+    calls = []
+
+    def fails_on_seed_1(env, policy, rng, dialogue_index, training):
+        # seed 0 makes 2 training and 2 test dialogues, then saves its
+        # last checkpoint; seed 1's first dialogue fails
+        calls.append(training)
+        if len(calls) > 4:
+            raise RuntimeError("killed")
+        return run_episode(env, policy, rng, dialogue_index, training)
+
+    monkeypatch.setattr(harness, "run_episode", fails_on_seed_1)
+    spec = harness.RunSpec("env1-CR", "dqn", seeds=(0, 1), train_dialogues=2,
+                           eval_points=(2,), test_dialogues=2,
+                           out_dir=tmp_path)
+    with pytest.raises(RuntimeError, match="killed"):
+        harness.run_training(spec, policy_overrides={"hidden1": 8})
+    monkeypatch.undo()
+    assert load_policy(tmp_path / "checkpoints/env1-CR/dqn/seed0-d2.npz"
+                       ).config.hidden1 == 8
+    # seed 0's checkpoint is of the failed run, seed 1's of the first one
+    code, _, err = run_cli(capsys, "eval", "--task", "env1-CR", "--algo", "dqn",
+                           "--seeds", "0,1", "--test-dialogues", "2",
+                           "--out", str(tmp_path))
+    assert code == 3
+    assert "env1-CR-dqn.json" in err
 
 
 def test_config_file_supplies_settings(capsys, tmp_path):

@@ -370,20 +370,37 @@ def test_restore_does_not_reuse_the_kept_gram_matrix():
         assert block.k_inv.tobytes() == dense.tobytes()
 
 
-@pytest.mark.parametrize("name, cut", [("x_0", np.s_[:, :2]),
-                                       ("x_0", np.s_[0]),
-                                       ("counts_0", np.s_[:-1])])
-def test_load_refuses_points_that_do_not_fit(tmp_path, name, cut):
+def _saved_with(tmp_path, name, change):
+    """Path of a four-point GP-SARSA checkpoint whose array ``name`` went
+    through ``change``."""
     policy = GPSarsaPolicy(obs_dim=3, action_count=2)
     rng = np.random.default_rng(3)
     for _ in range(4):
         policy._ingest(rng.random(3), 0, 1.0)
     arrays = policy.state_arrays()
-    arrays[name] = arrays[name][cut]
+    arrays[name] = change(arrays[name])
     path = tmp_path / "gp.npz"
     save_checkpoint(path, "gpsarsa", {"obs_dim": 3, "action_count": 2,
                                       "config": {}, "domain": None}, arrays)
+    return path
+
+
+@pytest.mark.parametrize("name, cut", [("x_0", np.s_[:, :2]),
+                                       ("x_0", np.s_[0]),
+                                       ("counts_0", np.s_[:-1])])
+def test_load_refuses_points_that_do_not_fit(tmp_path, name, cut):
+    path = _saved_with(tmp_path, name, lambda array: array[cut])
     with pytest.raises(CheckpointError, match="block 0 has points"):
+        load_policy(path)
+
+
+@pytest.mark.parametrize("count", [0.0, -1.0, np.nan])
+def test_load_refuses_counts_below_one(tmp_path, count):
+    # every point the learner adds counts at least once; a smaller count
+    # would divide by zero or below in the posterior
+    path = _saved_with(tmp_path, "counts_0",
+                       lambda array: np.full_like(array, count))
+    with pytest.raises(CheckpointError, match="block 0 has a count below 1"):
         load_policy(path)
 
 

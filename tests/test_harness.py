@@ -17,7 +17,6 @@ from dialbench.harness import (
     curve_csv_path,
     evaluate,
     evaluate_checkpoint,
-    latest_checkpoint,
     run_benchmark,
     run_cross_task,
     run_episode,
@@ -141,21 +140,6 @@ def test_evaluation_does_not_perturb_training():
 # ------------------------------------------------------------- checkpoints
 
 
-def test_latest_checkpoint_picks_highest_point(tmp_path):
-    for point in (100, 1000, 400):
-        p = checkpoint_path(tmp_path, "env1-CR", "dqn", 0, point)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_bytes(b"x")
-    (tmp_path / "checkpoints/env1-CR/dqn/seed0-dxyz.npz").write_bytes(b"x")
-    best = latest_checkpoint(tmp_path, "env1-CR", "dqn", 0)
-    assert best.name == "seed0-d1000.npz"
-
-
-def test_latest_checkpoint_missing_raises(tmp_path):
-    with pytest.raises(MissingArtifact):
-        latest_checkpoint(tmp_path, "env1-CR", "dqn", 0)
-
-
 def test_failed_write_leaves_previous_milestone_latest(tmp_path, monkeypatch):
     policy = GPSarsaPolicy(obs_dim=3, action_count=2)
     policy.save(checkpoint_path(tmp_path, "env1-CR", "gpsarsa", 0, 100))
@@ -170,9 +154,7 @@ def test_failed_write_leaves_previous_milestone_latest(tmp_path, monkeypatch):
     monkeypatch.undo()
     folder = tmp_path / "checkpoints/env1-CR/gpsarsa"
     assert [p.name for p in folder.iterdir()] == ["seed0-d100.npz"]
-    best = latest_checkpoint(tmp_path, "env1-CR", "gpsarsa", 0)
-    assert best.name == "seed0-d100.npz"
-    assert load_policy(best).total_points == 0
+    assert load_policy(folder / "seed0-d100.npz").total_points == 0
 
 
 def test_truncated_checkpoint_is_reported_by_path(tmp_path):
@@ -228,7 +210,8 @@ def handcrafted_run(tmp_path_factory):
 def test_training_writes_artifacts(handcrafted_run):
     spec, _ = handcrafted_run
     assert curve_csv_path(spec).exists()
-    assert summary_json_path(spec).exists()
+    assert summary_json_path(spec.out_dir, spec.task_id,
+                             spec.algorithm).exists()
     for seed in spec.seeds:
         for point in spec.eval_points:
             assert checkpoint_path(spec.out_dir, spec.task_id, spec.algorithm,
@@ -253,7 +236,8 @@ def test_curve_csv_schema(handcrafted_run):
 
 def test_summary_json_matches_curve(handcrafted_run):
     spec, result = handcrafted_run
-    payload = json.loads(summary_json_path(spec).read_text())
+    payload = json.loads(summary_json_path(spec.out_dir, spec.task_id,
+                                           spec.algorithm).read_text())
     assert payload["task"] == "env1-CR"
     assert payload["algorithm"] == "handcrafted"
     assert payload["seeds"] == [0, 1]
@@ -289,8 +273,9 @@ def test_rerun_is_byte_identical(tmp_path):
     first = curve_csv_path(outs[0]).read_bytes()
     second = curve_csv_path(outs[1]).read_bytes()
     assert first == second
-    assert (summary_json_path(outs[0]).read_bytes()
-            == summary_json_path(outs[1]).read_bytes())
+    summaries = [summary_json_path(s.out_dir, s.task_id, s.algorithm)
+                 for s in outs]
+    assert summaries[0].read_bytes() == summaries[1].read_bytes()
     cp = [checkpoint_path(s.out_dir, s.task_id, s.algorithm, 0, 4)
           for s in outs]
     assert cp[0].read_bytes() == cp[1].read_bytes()
