@@ -39,7 +39,8 @@ DEFAULT_EVAL_POINTS = (1000, 4000, 10000)
 
 
 class MissingArtifact(Exception):
-    """No finished run of a (task, algorithm), or none of a seed, to reload."""
+    """No finished run of a (task, algorithm), or none of a seed, to
+    reload, or a run summary too damaged to say which."""
 
 
 @dataclass(frozen=True)
@@ -343,6 +344,21 @@ def write_benchmark_table(cells: dict[tuple[str, str], ResultRow],
     return csv_path
 
 
+def _summary_fault(summary) -> str | None:
+    """What keeps a loaded run summary from naming its checkpoints."""
+    if not isinstance(summary, dict):
+        return "it is not a JSON object"
+    missing = [key for key in ("seeds", "train_dialogues") if key not in summary]
+    if missing:
+        return f"it lacks {', '.join(missing)}"
+    seeds, dialogues = summary["seeds"], summary["train_dialogues"]
+    if not (isinstance(seeds, list) and all(type(s) is int for s in seeds)):
+        return f"seeds is {seeds!r}, not a list of integers"
+    if type(dialogues) is not int:
+        return f"train_dialogues is {dialogues!r}, not an integer"
+    return None
+
+
 def evaluate_checkpoint(out_dir: Path, task_id: str, algorithm: str,
                         seeds: tuple[int, ...], test_dialogues: int,
                         eval_task_id: str | None = None) -> dict:
@@ -359,6 +375,11 @@ def evaluate_checkpoint(out_dir: Path, task_id: str, algorithm: str,
     except FileNotFoundError:
         raise MissingArtifact(f"no finished run of {algorithm} on {task_id}: "
                               f"{path} does not exist") from None
+    except (OSError, ValueError) as exc:
+        raise MissingArtifact(f"damaged run summary {path}: {exc}") from None
+    fault = _summary_fault(summary)
+    if fault:
+        raise MissingArtifact(f"damaged run summary {path}: {fault}")
     untrained = [seed for seed in seeds if seed not in summary["seeds"]]
     if untrained:
         raise MissingArtifact(f"seeds {untrained} are not among the seeds "

@@ -4,6 +4,11 @@ Each episode contributes one regression row: the summed score function
 of the actions taken against the episode return.  A ridge least-squares
 fit with a bias column recovers the natural gradient, which is applied
 as a normalized step on the softmax policy parameters.
+
+The batch lives in one design matrix of ``batch_episodes`` rows, made at
+the first training dialogue: each dialogue sums its scores into the next
+free row in place, whose last column is the bias, and the update solves
+on the matrix itself.
 """
 
 from __future__ import annotations
@@ -36,20 +41,27 @@ class ENACConfig:
     ridge: float = 1e-4
 
     def __post_init__(self) -> None:
-        require_counts(self, "hidden1", "hidden2", "anneal_dialogues")
+        require_counts(self, "hidden1", "hidden2", "anneal_dialogues",
+                       "batch_episodes")
 
 
 def enac_natural_gradient(phis: np.ndarray, returns: np.ndarray,
                           ridge: float = 1e-4) -> np.ndarray:
     """Regress returns on summed scores; the weights (bias dropped) are
-    the natural-gradient direction.
+    the natural-gradient direction."""
+    phis = np.atleast_2d(np.asarray(phis, dtype=np.float64))
+    design = np.concatenate([phis, np.ones((phis.shape[0], 1))], axis=1)
+    return _ridge_weights(design, np.asarray(returns, dtype=np.float64), ridge)
+
+
+def _ridge_weights(design: np.ndarray, returns: np.ndarray,
+                   ridge: float) -> np.ndarray:
+    """Ridge fit of ``returns`` on ``design``, whose last column is the
+    bias; the weights without the bias.
 
     When parameters outnumber episodes the ridge solution is obtained
     in its dual form, which involves only an episodes-sized system.
     """
-    phis = np.atleast_2d(np.asarray(phis, dtype=np.float64))
-    returns = np.asarray(returns, dtype=np.float64)
-    design = np.concatenate([phis, np.ones((phis.shape[0], 1))], axis=1)
     n, p = design.shape
     if p <= n:
         normal = design.T @ design + ridge * np.eye(p)
@@ -66,6 +78,9 @@ class ENACPolicy(NetLearner):
     def __init__(self, obs_dim: int, action_count: int, config: ENACConfig,
                  init_rng: np.random.Generator | None = None):
         super().__init__(obs_dim, action_count, config, init_rng)
+        # made by the first training dialogue; _phi is this dialogue's
+        # row without the bias, _batch_phis the rows already filled
+        self._design: np.ndarray | None = None
         self._phi: np.ndarray | None = None
         self._rewards: list[float] = []
         self._batch_phis: list[np.ndarray] = []
@@ -77,7 +92,13 @@ class ENACPolicy(NetLearner):
 
     def begin_dialogue(self, dialogue_index: int, training: bool) -> None:
         super().begin_dialogue(dialogue_index, training)
-        self._phi = np.zeros(self.param_count)
+        if training and self._design is None:
+            self._design = np.empty((self.config.batch_episodes,
+                                     self.param_count + 1))
+            self._design[:, -1] = 1.0
+        if self._design is not None:
+            self._phi = self._design[len(self._batch_phis), :-1]
+            self._phi[...] = 0.0
         self._rewards = []
 
     def act(self, observation: np.ndarray, mask: np.ndarray,
@@ -112,9 +133,8 @@ class ENACPolicy(NetLearner):
             self.update()
 
     def update(self) -> None:
-        w = enac_natural_gradient(np.stack(self._batch_phis),
-                                  np.array(self._batch_returns),
-                                  self.config.ridge)
+        w = _ridge_weights(self._design[:len(self._batch_phis)],
+                           np.array(self._batch_returns), self.config.ridge)
         self._batch_phis, self._batch_returns = [], []
         norm = float(np.linalg.norm(w))
         if norm == 0.0:

@@ -86,7 +86,8 @@ class _Block:
         self.w = np.zeros(0)
         self._events = 0
         # (x, G, K^-1) of the last rebuild and (k_inv, score, index) of
-        # most_redundant, each valid while its first entry is the live array
+        # most_redundant, each valid while its first entry is the live
+        # array; a change of x drops the first, which no rebuild could reuse
         self._exact = self._redundant = (None, None, None)
 
     @property
@@ -153,6 +154,7 @@ class _Block:
         self.merge_into_nearest(i)
 
     def _append(self, x: np.ndarray, y: float) -> None:
+        self._exact = (None, None, None)
         self.x = np.vstack([self.x, x])
         self.ysum = np.append(self.ysum, y)
         self.counts = np.append(self.counts, 1.0)
@@ -175,6 +177,7 @@ class _Block:
         removal would make first are skipped."""
         x_i, ysum_i, count_i = self.x[i], self.ysum[i], self.counts[i]
         keep = np.arange(self.n) != i
+        self._exact = (None, None, None)
         self.x = self.x[keep]
         self.ysum = self.ysum[keep]
         self.counts = self.counts[keep]

@@ -225,6 +225,7 @@ def test_harness_key_refused_alike_from_flag_and_file(capsys, tmp_path, key,
     ("dqn", "[policy]\nhidden1 = 0\n"),
     ("a2c", "[policy]\nhidden2 = 0\n"),
     ("enac", "[policy]\nhidden1 = -1\n"),
+    ("enac", "[policy]\nbatch_episodes = 0\n"),
 ])
 def test_out_of_range_setting_exits_2_before_any_dialogue(
         capsys, tmp_path, monkeypatch, algo, setting):
@@ -471,6 +472,28 @@ def test_eval_after_a_failed_run_exits_3(capsys, tmp_path, monkeypatch):
                            "--out", str(tmp_path))
     assert code == 3
     assert "env1-CR-dqn.json" in err
+
+
+@pytest.mark.parametrize("damage, fault", [
+    (lambda text: text[:30], "(char 30)"),
+    (lambda text: '{"seeds": [0]}', "lacks train_dialogues"),
+    (lambda text: '{"seeds": 0, "train_dialogues": 2}',
+     "seeds is 0, not a list of integers"),
+], ids=["cut", "no-train-dialogues", "seeds-not-a-list"])
+def test_eval_of_a_damaged_summary_exits_3(capsys, tmp_path, damage, fault):
+    code, _, _ = run_cli(capsys, "train", "--task", "env1-CR",
+                         "--algo", "handcrafted", "--seeds", "0",
+                         "--dialogues", "2", "--eval-at", "2",
+                         "--test-dialogues", "2", "--out", str(tmp_path))
+    assert code == 0
+    summary = harness.summary_json_path(tmp_path, "env1-CR", "handcrafted")
+    summary.write_text(damage(summary.read_text()))
+    code, _, err = run_cli(capsys, "eval", "--task", "env1-CR",
+                           "--algo", "handcrafted", "--seeds", "0",
+                           "--test-dialogues", "2", "--out", str(tmp_path))
+    assert code == 3
+    assert str(summary) in err and fault in err
+    assert "Traceback" not in err
 
 
 def test_config_file_supplies_settings(capsys, tmp_path):

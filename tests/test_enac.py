@@ -1,5 +1,7 @@
 """Episodic natural actor-critic: estimator correctness and batching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,70 @@ def test_empty_dialogue_contributes_nothing():
     policy.begin_dialogue(0, training=True)
     policy.end_dialogue(np.random.default_rng(9))
     assert policy._batch_phis == []
+
+
+def test_enac_update_allocates_little():
+    """The batch's scores live in one design matrix that the update
+    solves on; the update makes no copy of it (stacking the rows and
+    appending a bias column made two)."""
+    rng = np.random.default_rng(13)
+    policy = ENACPolicy(100, 23, ENACConfig(), init_rng=np.random.default_rng(14))
+    assert 20_000 < policy.param_count < 21_000
+    batch = policy.config.batch_episodes
+    for i in range(batch - 1):
+        run_dialogue(policy, [-1.0, 2.0], rng, i)
+    policy.begin_dialogue(batch - 1, training=True)
+    mask = np.ones(23, dtype=bool)
+    obs = rng.random(100)
+    a = policy.act(obs, mask, rng)
+    policy.observe(transition(obs, a, 20.0, mask, done=True), rng)
+    before = policy.net.theta.copy()
+    tracemalloc.start()
+    try:
+        policy.end_dialogue(rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not np.array_equal(before, policy.net.theta)   # the update ran
+    design_bytes = batch * (policy.param_count + 1) * 8
+    assert peak < design_bytes / 2
+
+
+class StackedENAC(ENACPolicy):
+    """eNAC whose update regresses on a stack of the batch's rows."""
+
+    def update(self):
+        w = enac_natural_gradient(np.stack(self._batch_phis),
+                                  np.array(self._batch_returns),
+                                  self.config.ridge)
+        self._batch_phis, self._batch_returns = [], []
+        norm = float(np.linalg.norm(w))
+        if norm:
+            self.net.theta += self.config.step_size * w / norm
+
+
+def test_update_on_the_design_matrix_matches_a_stacked_batch():
+    config = ENACConfig(hidden1=32, hidden2=16, batch_episodes=6)
+    policy, stacked = (cls(20, 9, config, init_rng=np.random.default_rng(15))
+                       for cls in (ENACPolicy, StackedENAC))
+    rngs = [np.random.default_rng(16) for _ in range(2)]
+    for batch in range(3):
+        before = policy.net.theta.copy()
+        for i in range(config.batch_episodes):
+            rewards = [-1.0] * (i % 3) + [float(i)]
+            for p, rng in zip((policy, stacked), rngs):
+                run_dialogue(p, rewards, rng, batch * config.batch_episodes + i)
+        assert not np.array_equal(before, policy.net.theta)
+        assert policy.net.theta.tobytes() == stacked.net.theta.tobytes()
+
+
+def test_eval_only_policy_holds_no_design_matrix():
+    policy = ENACPolicy(4, 3, tiny_config())
+    rng = np.random.default_rng(17)
+    policy.begin_dialogue(0, training=False)
+    policy.act(rng.random(4), np.ones(3, dtype=bool), rng)
+    policy.end_dialogue(rng)
+    assert policy._design is None
 
 
 # ------------------------------------------------------------- learning

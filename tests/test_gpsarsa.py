@@ -20,6 +20,7 @@ from dialbench.policies.base import (
 from dialbench.policies.gpsarsa import (
     GPSarsaConfig,
     GPSarsaPolicy,
+    _Block,
     _bordered_inverse,
 )
 
@@ -196,6 +197,25 @@ def test_cached_redundancy_never_goes_stale():
                 i = int(np.argmin(scores))
                 assert block.most_redundant() == (scores[i], i)
     assert policy.total_points == 8
+
+
+@pytest.mark.parametrize("event", ["add", "add_and_merge", "add_and_fold",
+                                   "merge_into_nearest"])
+def test_rebuild_cache_keeps_only_the_live_points(event):
+    """The Gram matrix and K^-1 a rebuild keeps match the points by
+    identity, so once the points change they are dropped, not pinned."""
+    rng = np.random.default_rng(9)
+    block = _Block(6, GPSarsaConfig())
+    for _ in range(5):
+        block.add(rng.random(6), float(rng.normal()))
+    block._refresh()
+    assert block._exact[0] is block.x
+    x = rng.random(6)
+    {"add": lambda: block.add(x, 1.0),
+     "add_and_merge": lambda: block.add_and_merge(x, 1.0, 2),
+     "add_and_fold": lambda: block.add_and_merge(x, 1.0, block.n),
+     "merge_into_nearest": lambda: block.merge_into_nearest(2)}[event]()
+    assert block._exact[0] is None or block._exact[0] is block.x
 
 
 # ------------------------------------------------------------- sarsa wiring
