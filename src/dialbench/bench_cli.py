@@ -214,15 +214,16 @@ def cmd_train(args, config) -> int:
                        out_dir=Path(settings["out"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    result = run_training(spec,
-                          error_params=_error_params(config, task),
-                          profile=_profile(config),
-                          policy_overrides=_policy_overrides(config, algos))
-    for point in spec.eval_points:
-        sm, ss, rm, rs = result.mean_std(point)
-        print(f"{spec.task_id} {spec.algorithm} @{point}: "
-              f"success {sm:.3f}±{ss:.3f} reward {rm:.2f}±{rs:.2f}")
-    print(f"curve: {curve_csv_path(spec)}")
+    summary = run_training(spec,
+                           error_params=_error_params(config, task),
+                           profile=_profile(config),
+                           policy_overrides=_policy_overrides(config, algos))
+    for entry in summary["points"]:
+        print(f"{spec.task_id} {spec.algorithm} @{entry['eval_point']}: "
+              f"success {entry['success_mean']:.3f}"
+              f"±{entry['success_std']:.3f} "
+              f"reward {entry['reward_mean']:.2f}±{entry['reward_std']:.2f}")
+    print("curve:", curve_csv_path(spec.out_dir, spec.task_id, spec.algorithm))
     return EXIT_OK
 
 

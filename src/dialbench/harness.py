@@ -3,15 +3,16 @@
 One run = (task, algorithm, seed).  Training consumes a single RNG
 stream per seed; every evaluation episode opens its own counter-based
 stream, so milestone tests neither perturb learning nor depend on how
-much randomness training has consumed.  All emitted files are plain
-CSV plus a JSON summary, and rerunning the same settings reproduces
-them byte for byte.
+much randomness training has consumed.  A finished run is one record,
+the run summary: its curve CSV, its summary JSON and its cell of the
+results table all render from it.  All emitted files are plain CSV or
+JSON, and rerunning the same settings reproduces them byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -75,43 +76,6 @@ class RunSpec:
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    task: str
-    algorithm: str
-    eval_point: int
-    success: float
-    reward: float
-    success_std: float
-    reward_std: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.success <= 1.0:
-            raise ValueError(f"success {self.success} outside [0, 1]")
-        if not REWARD_MIN <= self.reward <= REWARD_MAX:
-            raise ValueError(f"reward {self.reward} outside "
-                             f"[{REWARD_MIN}, {REWARD_MAX}]")
-
-
-@dataclass
-class TrainResult:
-    spec: RunSpec
-    # curve[point][seed] = (success, reward)
-    curve: dict[int, dict[int, tuple[float, float]]] = field(default_factory=dict)
-
-    def mean_std(self, point: int) -> tuple[float, float, float, float]:
-        cells = self.curve[point]
-        succ = np.array([cells[s][0] for s in sorted(cells)])
-        rew = np.array([cells[s][1] for s in sorted(cells)])
-        return (float(succ.mean()), float(succ.std()),
-                float(rew.mean()), float(rew.std()))
-
-    def row(self, point: int) -> ResultRow:
-        sm, ss, rm, rs = self.mean_std(point)
-        return ResultRow(self.spec.task_id, self.spec.algorithm, point,
-                         sm, rm, ss, rs)
-
-
 def run_episode(env, policy: Policy, rng: np.random.Generator,
                 dialogue_index: int, training: bool):
     """Generic loop; works for DialogueEnv and any env with the same
@@ -167,12 +131,44 @@ def _build_policy(spec: RunSpec, env: DialogueEnv, run_seed: int,
                        **overrides)
 
 
+# The seed statistics of a summary point, in the curve CSV's column order.
+STATS = ("success_mean", "success_std", "reward_mean", "reward_std")
+
+
+def summary_point(point: int,
+                  per_seed: dict[int, tuple[float, float]]) -> dict:
+    """One milestone of a run summary: each seed's (success, reward) and
+    their means and stds, taken over the seeds in ascending order."""
+    seeds = sorted(per_seed)
+    succ = np.array([per_seed[s][0] for s in seeds])
+    rew = np.array([per_seed[s][1] for s in seeds])
+    entry = {
+        "eval_point": point,
+        "success_mean": float(succ.mean()),
+        "success_std": float(succ.std()),
+        "reward_mean": float(rew.mean()),
+        "reward_std": float(rew.std()),
+        "per_seed": {str(s): {"success": succ_s, "reward": rew_s}
+                     for s, (succ_s, rew_s) in per_seed.items()},
+    }
+    if not 0.0 <= entry["success_mean"] <= 1.0:
+        raise ValueError(f"success {entry['success_mean']} outside [0, 1]")
+    if not REWARD_MIN <= entry["reward_mean"] <= REWARD_MAX:
+        raise ValueError(f"reward {entry['reward_mean']} outside "
+                         f"[{REWARD_MIN}, {REWARD_MAX}]")
+    return entry
+
+
 def run_training(spec: RunSpec, error_params=None, profile=None,
-                 policy_overrides: dict | None = None) -> TrainResult:
+                 policy_overrides: dict | None = None) -> dict:
+    """Train and test every seed of ``spec``; returns the run summary,
+    the one record of the run that its curve CSV and summary JSON
+    render, and that ``evaluate_checkpoint`` loads back."""
     # The env keeps no state between dialogues, so the seeds share it.
     env = DialogueEnv(make_task(spec.task_id), error_params=error_params,
                       profile=profile)
-    result = TrainResult(spec, {p: {} for p in spec.eval_points})
+    # curve[point][seed] = (success, reward)
+    curve = {p: {} for p in spec.eval_points}
     # the summary is the record of a finished run: until this run writes
     # its own, no earlier run's record may name the checkpoints it replaces
     summary_json_path(spec.out_dir, spec.task_id,
@@ -188,73 +184,54 @@ def run_training(spec: RunSpec, error_params=None, profile=None,
                     run_episode(env, policy, train_rng,
                                 dialogue_index=completed, training=True)
                     completed += 1
-            succ, rew = evaluate(env, policy, run_seed, m_idx,
-                                 spec.test_dialogues)
-            result.curve[point][run_seed] = (succ, rew)
+            curve[point][run_seed] = evaluate(env, policy, run_seed, m_idx,
+                                              spec.test_dialogues)
             policy.save(checkpoint_path(spec.out_dir, spec.task_id,
                                         spec.algorithm, run_seed, point))
 
-    write_curve_csv(result)
-    write_summary_json(result)
-    return result
+    summary = {
+        "task": spec.task_id,
+        "algorithm": spec.algorithm,
+        "seeds": list(spec.seeds),
+        "train_dialogues": spec.train_dialogues,
+        "test_dialogues": spec.test_dialogues,
+        "points": [summary_point(p, curve[p]) for p in spec.eval_points],
+    }
+    write_curve_csv(summary, spec.out_dir)
+    write_summary_json(summary, spec.out_dir)
+    return summary
 
 
-def curve_csv_path(spec: RunSpec) -> Path:
-    return Path(spec.out_dir) / "curves" / f"{spec.task_id}-{spec.algorithm}.csv"
+def curve_csv_path(out_dir: Path, task_id: str, algorithm: str) -> Path:
+    return Path(out_dir) / "curves" / f"{task_id}-{algorithm}.csv"
 
 
 def summary_json_path(out_dir: Path, task_id: str, algorithm: str) -> Path:
     return Path(out_dir) / "summaries" / f"{task_id}-{algorithm}.json"
 
 
-def write_curve_csv(result: TrainResult) -> Path:
-    spec = result.spec
-    path = curve_csv_path(spec)
+def write_curve_csv(summary: dict, out_dir: Path) -> Path:
+    seeds = [str(seed) for seed in summary["seeds"]]
     header = ["dialogue_index"]
-    for seed in spec.seeds:
+    for seed in seeds:
         header += [f"success_seed{seed}", f"reward_seed{seed}"]
-    header += ["success_mean", "success_std", "reward_mean", "reward_std"]
-    lines = [",".join(header)]
-    for point in spec.eval_points:
-        cells = result.curve[point]
-        row = [str(point)]
-        for seed in spec.seeds:
-            succ, rew = cells[seed]
-            row += [f"{succ:.4f}", f"{rew:.4f}"]
-        sm, ss, rm, rs = result.mean_std(point)
-        row += [f"{sm:.4f}", f"{ss:.4f}", f"{rm:.4f}", f"{rs:.4f}"]
+    lines = [",".join(header + list(STATS))]
+    for entry in summary["points"]:
+        row = [str(entry["eval_point"])]
+        for seed in seeds:
+            cell = entry["per_seed"][seed]
+            row += [f"{cell['success']:.4f}", f"{cell['reward']:.4f}"]
+        row += [f"{entry[stat]:.4f}" for stat in STATS]
         lines.append(",".join(row))
-    return write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def write_summary_json(result: TrainResult) -> Path:
-    spec = result.spec
-    path = summary_json_path(spec.out_dir, spec.task_id, spec.algorithm)
-    points = []
-    for point in spec.eval_points:
-        sm, ss, rm, rs = result.mean_std(point)
-        points.append({
-            "eval_point": point,
-            "success_mean": sm,
-            "success_std": ss,
-            "reward_mean": rm,
-            "reward_std": rs,
-            "per_seed": {
-                str(seed): {"success": result.curve[point][seed][0],
-                            "reward": result.curve[point][seed][1]}
-                for seed in spec.seeds
-            },
-        })
-    payload = {
-        "task": spec.task_id,
-        "algorithm": spec.algorithm,
-        "seeds": list(spec.seeds),
-        "train_dialogues": spec.train_dialogues,
-        "test_dialogues": spec.test_dialogues,
-        "points": points,
-    }
     return write_text_atomic(
-        path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        curve_csv_path(out_dir, summary["task"], summary["algorithm"]),
+        "\n".join(lines) + "\n")
+
+
+def write_summary_json(summary: dict, out_dir: Path) -> Path:
+    return write_text_atomic(
+        summary_json_path(out_dir, summary["task"], summary["algorithm"]),
+        json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def run_benchmark(algorithms: list[str], tasks: list[str],
@@ -265,15 +242,15 @@ def run_benchmark(algorithms: list[str], tasks: list[str],
     one row per task, success/reward columns per algorithm, mean rows
     per domain and over all tasks, best data-driven reward flagged."""
     out_dir = Path(out_dir)
-    cells: dict[tuple[str, str], ResultRow] = {}
+    cells: dict[tuple[str, str], dict] = {}
     for task_id in tasks:
         for algorithm in algorithms:
             spec = RunSpec(task_id, algorithm, seeds=tuple(seeds),
                            train_dialogues=dialogues,
                            eval_points=(dialogues,),
                            test_dialogues=test_dialogues, out_dir=out_dir)
-            result = run_training(spec, policy_overrides=policy_overrides)
-            cells[(task_id, algorithm)] = result.row(dialogues)
+            summary = run_training(spec, policy_overrides=policy_overrides)
+            cells[(task_id, algorithm)] = summary["points"][-1]
 
     return write_benchmark_table(cells, algorithms, tasks, out_dir)
 
@@ -289,7 +266,7 @@ def _best_data_driven(values: dict[str, float]) -> str:
     return ""
 
 
-def write_benchmark_table(cells: dict[tuple[str, str], ResultRow],
+def write_benchmark_table(cells: dict[tuple[str, str], dict],
                           algorithms: list[str], tasks: list[str],
                           out_dir: Path) -> Path:
     out_dir = Path(out_dir)
@@ -319,18 +296,18 @@ def write_benchmark_table(cells: dict[tuple[str, str], ResultRow],
 
     groups: dict[str, list[str]] = {code: [] for code in DOMAIN_CODES}
     for task_id in tasks:
-        succ = {a: cells[(task_id, a)].success for a in algorithms}
-        rew = {a: cells[(task_id, a)].reward for a in algorithms}
+        succ = {a: cells[(task_id, a)]["success_mean"] for a in algorithms}
+        rew = {a: cells[(task_id, a)]["reward_mean"] for a in algorithms}
         emit(task_id, succ, rew)
         groups[make_task(task_id).domain_code].append(task_id)
 
     def mean_over(task_ids: list[str], label: str):
         if not task_ids:
             return
-        succ = {a: float(np.mean([cells[(t, a)].success for t in task_ids]))
-                for a in algorithms}
-        rew = {a: float(np.mean([cells[(t, a)].reward for t in task_ids]))
-               for a in algorithms}
+        succ = {a: float(np.mean([cells[(t, a)]["success_mean"]
+                                  for t in task_ids])) for a in algorithms}
+        rew = {a: float(np.mean([cells[(t, a)]["reward_mean"]
+                                 for t in task_ids])) for a in algorithms}
         emit(label, succ, rew)
 
     for code in DOMAIN_CODES:
@@ -364,7 +341,11 @@ def evaluate_checkpoint(out_dir: Path, task_id: str, algorithm: str,
                         eval_task_id: str | None = None) -> dict:
     """Reload the policies of the finished run that the summary of
     (task, algorithm) records, at its last milestone, and test them,
-    optionally on another task in the same domain."""
+    optionally on another task in the same domain.
+
+    The tests run on milestone 0's eval streams, whatever the milestone,
+    while the summary's last point was tested on the last milestone's
+    streams; so on the same task the two differ by sampling noise."""
     target_id = eval_task_id or task_id
     task = make_task(target_id)
     if task.domain_code != make_task(task_id).domain_code:
@@ -406,14 +387,12 @@ def evaluate_checkpoint(out_dir: Path, task_id: str, algorithm: str,
 
 
 def run_cross_task(out_dir: Path, algorithms: list[str], domains: list[str],
-                   seeds: tuple[int, ...], test_dialogues: int = 500,
-                   train_envs: tuple[int, ...] = ENV_INDICES_CROSS,
-                   eval_envs: tuple[int, ...] = ENV_INDICES_CROSS) -> Path:
+                   seeds: tuple[int, ...], test_dialogues: int = 500) -> Path:
     """Reward matrix of policies trained in one noise environment and
     tested in the others; the diagonal is left blank."""
     out_dir = Path(out_dir)
     header = ["domain", "algorithm", "train_env"]
-    header += [f"eval_env{j}" for j in eval_envs]
+    header += [f"eval_env{j}" for j in ENV_INDICES_CROSS]
     lines = [",".join(header)]
     json_rows = []
 
@@ -421,10 +400,10 @@ def run_cross_task(out_dir: Path, algorithms: list[str], domains: list[str],
         if domain not in DOMAIN_CODES:
             raise ValueError(f"unknown domain {domain!r}")
         for algorithm in algorithms:
-            for i in train_envs:
+            for i in ENV_INDICES_CROSS:
                 row = [domain, algorithm, str(i)]
                 rewards: dict[str, float | None] = {}
-                for j in eval_envs:
+                for j in ENV_INDICES_CROSS:
                     if i == j:
                         row.append("")
                         rewards[str(j)] = None

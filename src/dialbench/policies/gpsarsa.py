@@ -49,7 +49,9 @@ class GPSarsaConfig:
     refresh_every: int = 512    # full inverse rebuild cadence per block
 
     def __post_init__(self) -> None:
-        require_counts(self, "refresh_every")
+        require_counts(self, "max_points", "refresh_every")
+        if not self.sigma2 > 0:
+            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
 
 
 def _bordered_inverse(m_inv: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
@@ -85,16 +87,18 @@ class _Block:
         self.k_inv = np.zeros((0, 0))
         self.w = np.zeros(0)
         self._events = 0
-        # (x, G, K^-1) of the last rebuild and (k_inv, score, index) of
-        # most_redundant, each valid while its first entry is the live
-        # array; a change of x drops the first, which no rebuild could reuse
-        self._exact = self._redundant = (None, None, None)
+        # (x, G, K^-1) of the last rebuild, valid while its first entry is
+        # the live x; a change of x drops it, which no rebuild could reuse
+        self._exact = (None, None, None)
+        # (score, index) of most_redundant, dropped when k_inv is replaced
+        self._redundant = None
 
     @property
     def n(self) -> int:
         return self.x.shape[0]
 
     def _refresh(self) -> None:
+        self._redundant = None
         if self.n == 0:
             self.a_inv = np.zeros((0, 0))
             self.k_inv = np.zeros((0, 0))
@@ -139,6 +143,7 @@ class _Block:
         k_self = float(x @ x)
         self.a_inv = _bordered_inverse(self.a_inv, k, k_self + self.config.sigma2)
         self.k_inv = _bordered_inverse(self.k_inv, k, k_self + self.config.jitter)
+        self._redundant = None
         self._append(x, y)
         self._recompute_w()
         self._tick()
@@ -194,17 +199,17 @@ class _Block:
 
     def most_redundant(self, x: np.ndarray | None = None) -> tuple[float, int]:
         """(score, index) of the point best explained by the rest of the
-        block: the lowest score, first on ties.  Kept while ``k_inv`` is
-        the same array.  Given x, scores the block as ``add(x, .)`` would
+        block: the lowest score, first on ties.  Kept until ``k_inv`` is
+        replaced.  Given x, scores the block as ``add(x, .)`` would
         border it (n > 0; index n is x)."""
         if x is not None:
             k = self.x @ x
             u = self.k_inv @ k
             s = max(float(x @ x) + self.config.jitter - float(k @ u), 1e-12)
             return _lowest_score(np.append(np.diag(self.k_inv) + u * u / s, 1.0 / s))
-        if self._redundant[0] is not self.k_inv:
-            self._redundant = (self.k_inv, *_lowest_score(np.diag(self.k_inv)))
-        return self._redundant[1:]
+        if self._redundant is None:
+            self._redundant = _lowest_score(np.diag(self.k_inv))
+        return self._redundant
 
 
 class GPSarsaPolicy(Policy):

@@ -226,6 +226,8 @@ def test_harness_key_refused_alike_from_flag_and_file(capsys, tmp_path, key,
     ("a2c", "[policy]\nhidden2 = 0\n"),
     ("enac", "[policy]\nhidden1 = -1\n"),
     ("enac", "[policy]\nbatch_episodes = 0\n"),
+    ("gpsarsa", "[policy]\nsigma2 = -1.0\n"),
+    ("gpsarsa", "[policy]\nmax_points = 0\n"),
 ])
 def test_out_of_range_setting_exits_2_before_any_dialogue(
         capsys, tmp_path, monkeypatch, algo, setting):

@@ -1,10 +1,12 @@
 """Gaussian-process SARSA: posterior correctness, dictionary maintenance,
 the incremental-inverse identity, and learning on a tiny chain MDP."""
 
+import gc
 import hashlib
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +218,28 @@ def test_rebuild_cache_keeps_only_the_live_points(event):
      "add_and_fold": lambda: block.add_and_merge(x, 1.0, block.n),
      "merge_into_nearest": lambda: block.merge_into_nearest(2)}[event]()
     assert block._exact[0] is None or block._exact[0] is block.x
+
+
+@pytest.mark.parametrize("event", ["add", "refresh", "add_and_merge",
+                                   "merge_into_nearest"])
+def test_redundancy_cache_drops_a_replaced_k_inv(event):
+    """most_redundant keeps its answer for one K^-1; once K^-1 is
+    replaced, nothing keeps the old one alive."""
+    rng = np.random.default_rng(10)
+    block = _Block(6, GPSarsaConfig())
+    for _ in range(5):
+        block.add(rng.random(6), float(rng.normal()))
+    block.most_redundant()
+    old = weakref.ref(block.k_inv)
+    x = rng.random(6)
+    {"add": lambda: block.add(x, 1.0),
+     "refresh": block._refresh,
+     "add_and_merge": lambda: block.add_and_merge(x, 1.0, 2),
+     "merge_into_nearest": lambda: block.merge_into_nearest(2)}[event]()
+    gc.collect()
+    assert old() is None
+    scores = 1.0 / np.maximum(np.diag(block.k_inv), 1e-12)
+    assert block.most_redundant() == (scores.min(), int(np.argmin(scores)))
 
 
 # ------------------------------------------------------------- sarsa wiring
