@@ -38,7 +38,6 @@ from dialbench.simulated_user import (
     PROFILES,
     ProfileDistribution,
     SimulatedUser,
-    UserGoal,
     is_goal_fulfilled,
     sample_goal,
     sample_params,
@@ -123,7 +122,6 @@ class EpisodeResult:
     turns: int
     final_reward: float
     trace: list[TurnRecord]
-    goal: UserGoal
 
 
 class ContractViolation(RuntimeError):
@@ -236,7 +234,6 @@ class DialogueEnv:
             turns=self._turns,
             final_reward=SUCCESS_REWARD * self._success - self._turns,
             trace=self._trace,
-            goal=self._user.goal,
         )
 
 

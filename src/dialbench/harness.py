@@ -121,16 +121,6 @@ def checkpoint_path(out_dir: Path, task_id: str, algorithm: str,
             / f"seed{seed}-d{point}.npz")
 
 
-def _build_policy(spec: RunSpec, env: DialogueEnv, run_seed: int,
-                  policy_overrides: dict | None) -> Policy:
-    obs_dim = belief_dim(env.ontology)
-    overrides = dict(policy_overrides or {})
-    return make_policy(spec.algorithm, obs_dim, env.action_count,
-                       ontology=env.ontology,
-                       init_rng=seed_stream(run_seed, INIT_STREAM),
-                       **overrides)
-
-
 # The seed statistics of a summary point, in the curve CSV's column order.
 STATS = ("success_mean", "success_std", "reward_mean", "reward_std")
 
@@ -159,6 +149,30 @@ def summary_point(point: int,
     return entry
 
 
+def train_unit(spec: RunSpec, env: DialogueEnv, seed: int,
+               policy_overrides: dict | None) -> list[tuple[float, float]]:
+    """Train and test one seed of ``spec``, saving a checkpoint at each
+    milestone; returns its (success, reward) at each milestone."""
+    policy = make_policy(spec.algorithm, belief_dim(env.ontology),
+                         env.action_count, ontology=env.ontology,
+                         init_rng=seed_stream(seed, INIT_STREAM),
+                         **(policy_overrides or {}))
+    train_rng = seed_stream(seed, TRAIN_STREAM)
+    completed = 0
+    results = []
+    for m_idx, point in enumerate(spec.eval_points):
+        if policy.trains:
+            while completed < point:
+                run_episode(env, policy, train_rng,
+                            dialogue_index=completed, training=True)
+                completed += 1
+        results.append(evaluate(env, policy, seed, m_idx,
+                                spec.test_dialogues))
+        policy.save(checkpoint_path(spec.out_dir, spec.task_id,
+                                    spec.algorithm, seed, point))
+    return results
+
+
 def run_training(spec: RunSpec, error_params=None, profile=None,
                  policy_overrides: dict | None = None) -> dict:
     """Train and test every seed of ``spec``; returns the run summary,
@@ -167,35 +181,21 @@ def run_training(spec: RunSpec, error_params=None, profile=None,
     # The env keeps no state between dialogues, so the seeds share it.
     env = DialogueEnv(make_task(spec.task_id), error_params=error_params,
                       profile=profile)
-    # curve[point][seed] = (success, reward)
-    curve = {p: {} for p in spec.eval_points}
     # the summary is the record of a finished run: until this run writes
     # its own, no earlier run's record may name the checkpoints it replaces
     summary_json_path(spec.out_dir, spec.task_id,
                       spec.algorithm).unlink(missing_ok=True)
-
-    for run_seed in spec.seeds:
-        policy = _build_policy(spec, env, run_seed, policy_overrides)
-        train_rng = seed_stream(run_seed, TRAIN_STREAM)
-        completed = 0
-        for m_idx, point in enumerate(spec.eval_points):
-            if policy.trains:
-                while completed < point:
-                    run_episode(env, policy, train_rng,
-                                dialogue_index=completed, training=True)
-                    completed += 1
-            curve[point][run_seed] = evaluate(env, policy, run_seed, m_idx,
-                                              spec.test_dialogues)
-            policy.save(checkpoint_path(spec.out_dir, spec.task_id,
-                                        spec.algorithm, run_seed, point))
-
+    units = {seed: train_unit(spec, env, seed, policy_overrides)
+             for seed in spec.seeds}
     summary = {
         "task": spec.task_id,
         "algorithm": spec.algorithm,
         "seeds": list(spec.seeds),
         "train_dialogues": spec.train_dialogues,
         "test_dialogues": spec.test_dialogues,
-        "points": [summary_point(p, curve[p]) for p in spec.eval_points],
+        "points": [summary_point(point, {seed: unit[m_idx]
+                                         for seed, unit in units.items()})
+                   for m_idx, point in enumerate(spec.eval_points)],
     }
     write_curve_csv(summary, spec.out_dir)
     write_summary_json(summary, spec.out_dir)
@@ -257,13 +257,8 @@ def run_benchmark(algorithms: list[str], tasks: list[str],
 
 def _best_data_driven(values: dict[str, float]) -> str:
     candidates = {a: r for a, r in values.items() if a != "handcrafted"}
-    if not candidates:
-        return ""
-    best = max(candidates.values())
-    for algorithm in candidates:          # insertion order breaks ties
-        if candidates[algorithm] == best:
-            return algorithm
-    return ""
+    # max keeps the first of equal values: column order breaks ties
+    return max(candidates, key=candidates.get) if candidates else ""
 
 
 def write_benchmark_table(cells: dict[tuple[str, str], dict],
@@ -336,20 +331,17 @@ def _summary_fault(summary) -> str | None:
     return None
 
 
-def evaluate_checkpoint(out_dir: Path, task_id: str, algorithm: str,
-                        seeds: tuple[int, ...], test_dialogues: int,
-                        eval_task_id: str | None = None) -> dict:
-    """Reload the policies of the finished run that the summary of
-    (task, algorithm) records, at its last milestone, and test them,
-    optionally on another task in the same domain.
+def _reload(out_dir: Path, task_id: str, algorithm: str,
+            seeds: tuple[int, ...], test_dialogues: int,
+            envs: list[DialogueEnv]) -> list[dict]:
+    """Reload each seed's policy of the finished run that the summary of
+    (task, algorithm) records, at its last milestone, and test it on
+    each env, all in the run's domain; returns one summary point per env.
 
-    The tests run on milestone 0's eval streams, whatever the milestone,
-    while the summary's last point was tested on the last milestone's
-    streams; so on the same task the two differ by sampling noise."""
-    target_id = eval_task_id or task_id
-    task = make_task(target_id)
-    if task.domain_code != make_task(task_id).domain_code:
-        raise ValueError("cross-task evaluation must stay in one domain")
+    Each checkpoint is loaded once, and tested on milestone 0's eval
+    streams, whatever the milestone; the summary's last point was tested
+    on the last milestone's streams, so on the training task the two
+    differ by sampling noise."""
     path = summary_json_path(out_dir, task_id, algorithm)
     try:
         summary = json.loads(path.read_text())
@@ -365,29 +357,40 @@ def evaluate_checkpoint(out_dir: Path, task_id: str, algorithm: str,
     if untrained:
         raise MissingArtifact(f"seeds {untrained} are not among the seeds "
                               f"{summary['seeds']} that {path} records")
-    env = DialogueEnv(task)
-    per_seed = {}
+    point = summary["train_dialogues"]
+    per_env = [{} for _ in envs]
     for seed in seeds:
-        policy = load_policy(
-            checkpoint_path(out_dir, task_id, algorithm, seed,
-                            summary["train_dialogues"]),
-            ontology=env.ontology)
-        succ, rew = evaluate(env, policy, seed, 0, test_dialogues)
-        per_seed[seed] = {"success": succ, "reward": rew}
-    succ = float(np.mean([v["success"] for v in per_seed.values()]))
-    rew = float(np.mean([v["reward"] for v in per_seed.values()]))
+        policy = load_policy(checkpoint_path(out_dir, task_id, algorithm,
+                                             seed, point),
+                             ontology=envs[0].ontology)
+        for env, per_seed in zip(envs, per_env):
+            per_seed[seed] = evaluate(env, policy, seed, 0, test_dialogues)
+    return [summary_point(point, per_seed) for per_seed in per_env]
+
+
+def evaluate_checkpoint(out_dir: Path, task_id: str, algorithm: str,
+                        seeds: tuple[int, ...], test_dialogues: int,
+                        eval_task_id: str | None = None) -> dict:
+    """Test the reloaded policies of the finished run of (task,
+    algorithm), optionally on another task in the same domain."""
+    target_id = eval_task_id or task_id
+    task = make_task(target_id)
+    if task.domain_code != make_task(task_id).domain_code:
+        raise ValueError("cross-task evaluation must stay in one domain")
+    point, = _reload(out_dir, task_id, algorithm, seeds, test_dialogues,
+                     [DialogueEnv(task)])
     return {
         "trained_on": task_id,
         "evaluated_on": target_id,
         "algorithm": algorithm,
-        "success_mean": succ,
-        "reward_mean": rew,
-        "per_seed": {str(k): v for k, v in per_seed.items()},
+        "success_mean": point["success_mean"],
+        "reward_mean": point["reward_mean"],
+        "per_seed": point["per_seed"],
     }
 
 
 def run_cross_task(out_dir: Path, algorithms: list[str], domains: list[str],
-                   seeds: tuple[int, ...], test_dialogues: int = 500) -> Path:
+                   seeds: tuple[int, ...], test_dialogues: int) -> Path:
     """Reward matrix of policies trained in one noise environment and
     tested in the others; the diagonal is left blank."""
     out_dir = Path(out_dir)
@@ -399,21 +402,18 @@ def run_cross_task(out_dir: Path, algorithms: list[str], domains: list[str],
     for domain in domains:
         if domain not in DOMAIN_CODES:
             raise ValueError(f"unknown domain {domain!r}")
+        envs = {str(j): DialogueEnv(make_task(f"env{j}-{domain}"))
+                for j in ENV_INDICES_CROSS}
         for algorithm in algorithms:
             for i in ENV_INDICES_CROSS:
-                row = [domain, algorithm, str(i)]
-                rewards: dict[str, float | None] = {}
-                for j in ENV_INDICES_CROSS:
-                    if i == j:
-                        row.append("")
-                        rewards[str(j)] = None
-                        continue
-                    report = evaluate_checkpoint(
-                        out_dir, f"env{i}-{domain}", algorithm, seeds,
-                        test_dialogues, eval_task_id=f"env{j}-{domain}")
-                    row.append(f"{report['reward_mean']:.4f}")
-                    rewards[str(j)] = report["reward_mean"]
-                lines.append(",".join(row))
+                targets = {j: env for j, env in envs.items() if j != str(i)}
+                points = _reload(out_dir, f"env{i}-{domain}", algorithm,
+                                 seeds, test_dialogues, list(targets.values()))
+                rewards = dict.fromkeys(envs) | {
+                    j: point["reward_mean"] for j, point in zip(targets, points)}
+                cells = ["" if r is None else f"{r:.4f}"
+                         for r in rewards.values()]
+                lines.append(",".join([domain, algorithm, str(i)] + cells))
                 json_rows.append({"domain": domain, "algorithm": algorithm,
                                   "train_env": i, "rewards": rewards})
 

@@ -438,6 +438,21 @@ def test_eval_loads_the_checkpoint_the_summary_names(capsys, retrained):
                                                 "reward": reward}
 
 
+def test_eval_report_does_not_depend_on_seed_order(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, "train", "--task", "env1-CR",
+                         "--algo", "handcrafted", "--seeds", "0,1,2,3",
+                         "--dialogues", "1", "--out", str(tmp_path))
+    assert code == 0
+    reports = []
+    for seeds in ("0,1,2,3", "3,1,0,2", "2,3,1,0"):
+        code, out, _ = run_cli(capsys, "eval", "--task", "env1-CR",
+                               "--algo", "handcrafted", "--seeds", seeds,
+                               "--test-dialogues", "7", "--out", str(tmp_path))
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_eval_of_a_seed_the_run_did_not_train_exits_3(capsys, retrained):
     code, _, err = run_cli(capsys, "eval", "--task", "env1-CR", "--algo", "dqn",
                            "--seeds", "0,1", "--test-dialogues", "2",

@@ -337,6 +337,14 @@ def test_benchmark_table_layout(tmp_path):
     assert by_label["env3-CR"][-1] == "dqn"
     # ties resolve to the first algorithm in column order
     assert by_label["env1-SFR"][-1] == "gpsarsa"
+    # with no data-driven algorithm the flag column stays empty
+    only = {(t, "handcrafted"): cells[(t, "handcrafted")] for t in tasks}
+    lines = write_benchmark_table(only, ["handcrafted"], tasks,
+                                  tmp_path / "handcrafted"
+                                  ).read_text().splitlines()
+    assert lines[0] == ("task,handcrafted_success,handcrafted_reward,"
+                        "best_data_driven")
+    assert all(line.endswith(",") for line in lines[1:])
 
 
 def test_benchmark_mean_rows_recompute(tmp_path):
@@ -449,6 +457,68 @@ def test_cross_task_matrix(cross_checkpoints):
     payload = json.loads((cross_checkpoints / "cross.json").read_text())
     assert payload["rows"][0]["rewards"]["1"] is None
     assert payload["rows"][0]["rewards"]["3"] is not None
+
+
+@pytest.fixture(scope="module")
+def cross_grid(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cross-grid")
+    for algorithm in ("handcrafted", "gpsarsa"):
+        for env_index in (1, 3, 6):
+            run_training(RunSpec(f"env{env_index}-CR", algorithm,
+                                 seeds=(0, 1, 2), train_dialogues=4,
+                                 eval_points=(4,), test_dialogues=3,
+                                 out_dir=out))
+    return out
+
+
+# SHA-256 of the cross matrix of a handcrafted and a GP-SARSA run on each
+# of env1, env3 and env6 of CR, three seeds each, in ascending order.
+# Recorded with numpy 2.4 and its bundled OpenBLAS 0.3.31 on an x86-64 Xeon.
+PINNED_CROSS = {
+    "cross.csv":
+        "d72311ca2999c8723b46638c17be734ca88e5c1f286e56044f8788059294a86a",
+    "cross.json":
+        "c406843dc3b36386498c5d0c4c24eac8ccff6678e4048eb92e59d84538e61e2e",
+}
+
+
+def test_cross_bytes_are_pinned(cross_grid):
+    """Any change to the reloaded policies, their test streams, the seed
+    order of the means or how the matrix renders them changes these bytes."""
+    run_cross_task(cross_grid, ["handcrafted", "gpsarsa"], ["CR"],
+                   seeds=(0, 1, 2), test_dialogues=3)
+    assert {name: hashlib.sha256((cross_grid / name).read_bytes()).hexdigest()
+            for name in PINNED_CROSS} == PINNED_CROSS
+
+
+def test_cross_does_not_depend_on_seed_order(cross_grid):
+    matrices = []
+    for seeds in ((2, 0, 1), (0, 1, 2)):
+        run_cross_task(cross_grid, ["handcrafted", "gpsarsa"], ["CR"],
+                       seeds=seeds, test_dialogues=3)
+        matrices.append((cross_grid / "cross.json").read_bytes())
+    assert matrices[0] == matrices[1]
+
+
+def test_cross_reloads_each_run_once(monkeypatch, cross_grid):
+    from dialbench import environment, harness
+
+    loads, domains = [], []
+
+    def counted_load(path, ontology=None):
+        loads.append(path.name)
+        return load_policy(path, ontology=ontology)
+
+    def counted_domain(code):
+        domains.append(code)
+        return generate_domain(code)
+    monkeypatch.setattr(harness, "load_policy", counted_load)
+    monkeypatch.setattr(environment, "generate_domain", counted_domain)
+    run_cross_task(cross_grid, ["handcrafted"], ["CR"], seeds=(0, 1),
+                   test_dialogues=2)
+    # three runs of two seeds; each env of the domain is built once
+    assert sorted(loads) == ["seed0-d4.npz"] * 3 + ["seed1-d4.npz"] * 3
+    assert domains == ["CR"] * 3
 
 
 def test_cross_task_missing_checkpoint(tmp_path):
