@@ -8,12 +8,14 @@ INI layout, five optional sections:
     [errormodel]  preset, plus field overrides
     [harness]     seeds, dialogues, eval_at, test_dialogues, out
 
-``load_config`` refuses an unknown section or key and a value its key
-cannot take.  Each ``[harness]`` value is read by its ``HARNESS`` entry,
-which also reads the CLI flag of that name.  ``bench_cli`` checks
-``[policy]`` keys against the chosen algorithms, and which keys a verb
-reads against its ``READS`` table.  Anything the file leaves out falls
-back to CLI flags or defaults.
+``load_config`` reads the file as literal text (no ``%`` interpolation)
+and refuses an unreadable file, an unknown section (a non-empty
+``[DEFAULT]`` too: its keys would leak into every section) or key and a
+value its key cannot take.  Each ``[harness]`` value is read by its
+``HARNESS`` entry, which also reads the CLI flag of that name.
+``bench_cli`` checks ``[policy]`` keys against the chosen algorithms, and
+which keys a verb reads against its ``READS`` table.  Anything the file
+leaves out falls back to CLI flags or defaults.
 """
 
 from __future__ import annotations
@@ -145,13 +147,17 @@ def _read(section: str, key: str, text: str):
 
 def load_config(path: str | Path) -> dict[str, dict]:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
+        parser.read_string(path.read_text(encoding="utf-8"), str(path))
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}] in {path}")
 
     out: dict[str, dict] = {}
     for section in parser.sections():

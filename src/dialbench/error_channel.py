@@ -343,16 +343,16 @@ def corrupt(act: DialogueAct, params: ErrorParams, ontology: Ontology,
     seen = {top_act}
     tail: list[tuple[DialogueAct, float]] = []
 
+    # a corrupted top always differs from the true act (see _confuse)
     if corrupted and length > 1 and rng.random() < params.p_true_in_nbest:
-        if act not in seen:
-            decay = min(max(params.true_pos_decay, 0.0), 1.0)
-            depth = 0
-            while depth < length - 2 and rng.random() < decay:
-                depth += 1
-            raw = rng.beta(params.conf_buried_a, params.conf_buried_b)
-            raw *= params.tail_decay ** depth
-            tail.append((act, min(raw, 0.999 * w_top)))
-            seen.add(act)
+        decay = min(max(params.true_pos_decay, 0.0), 1.0)
+        depth = 0
+        while depth < length - 2 and rng.random() < decay:
+            depth += 1
+        raw = rng.beta(params.conf_buried_a, params.conf_buried_b)
+        raw *= params.tail_decay ** depth
+        tail.append((act, min(raw, 0.999 * w_top)))
+        seen.add(act)
 
     position = len(tail)
     attempts = 0

@@ -258,29 +258,23 @@ class SimulatedUser:
 
     # -- bookkeeping helpers ------------------------------------------------
 
-    def _drop_pending_informs(self, slot: str) -> None:
+    def _prune(self, act_type: str, slots: set[str]) -> None:
+        """Drop the items of ``slots`` from every pending ``act_type`` act,
+        and the acts left with no items."""
         kept = []
         for act in self.agenda:
-            if act.act_type == "inform" and any(s == slot for s, _ in act.items):
-                remaining = tuple((s, v) for s, v in act.items if s != slot)
-                if remaining:
-                    kept.append(DialogueAct("inform", remaining))
-            else:
-                kept.append(act)
+            if act.act_type == act_type and any(s in slots for s, _ in act.items):
+                act = DialogueAct(act_type, tuple(
+                    (s, v) for s, v in act.items if s not in slots))
+                if not act.items:
+                    continue
+            kept.append(act)
         self.agenda = kept
 
-    def _drop_answered_requests(self) -> None:
-        kept = []
-        for act in self.agenda:
-            if act.act_type == "request":
-                remaining = tuple(
-                    (s, None) for s, _ in act.items if s not in self.answered
-                )
-                if remaining:
-                    kept.append(DialogueAct("request", remaining))
-            else:
-                kept.append(act)
-        self.agenda = kept
+    def _restate(self, *items: tuple[str, str]) -> None:
+        """Replace the pending informs of the items' slots by one inform."""
+        self._prune("inform", {s for s, _ in items})
+        self.agenda.append(DialogueAct("inform", items))
 
     def _ensure_requests_queued(self) -> None:
         pending = {
@@ -299,9 +293,6 @@ class SimulatedUser:
         if not self.agenda:
             return DialogueAct("bye")
         return self.agenda.pop()
-
-    def _push(self, act: DialogueAct) -> None:
-        self.agenda.append(act)
 
     def _truth(self, slot: str) -> str:
         return self.goal.constraints.get(slot, DONTCARE)
@@ -394,8 +385,7 @@ class SimulatedUser:
         self.informed.pop(slot_name, None)
         self.nomatch_ok = False
         self._refresh_satisfiable()
-        self._drop_pending_informs(slot_name)
-        self._push(DialogueAct("inform", ((slot_name, new_value),)))
+        self._restate((slot_name, new_value))
 
     def _answer_slot_items(self, slot: str, rng: np.random.Generator
                            ) -> tuple[tuple[str, str], ...]:
@@ -417,10 +407,7 @@ class SimulatedUser:
         slot = act.items[0][0]
         if slot not in self.ontology.slot_by_name:
             return
-        items = self._answer_slot_items(slot, rng)
-        for s, _ in items:
-            self._drop_pending_informs(s)
-        self._push(DialogueAct("inform", items))
+        self._restate(*self._answer_slot_items(slot, rng))
 
     def _on_confirm(self, act: DialogueAct, rng: np.random.Generator) -> None:
         if not act.items:
@@ -429,20 +416,13 @@ class SimulatedUser:
         if slot not in self.ontology.slot_by_name:
             return
         truth = self._truth(slot)
-        if value == truth:
-            if rng.random() < self.params.p_confirm_when_asked:
-                self._push(DialogueAct("affirm"))
-            else:
-                self._drop_pending_informs(slot)
-                self._push(DialogueAct("inform", ((slot, truth),)))
+        if rng.random() < (self.params.p_confirm_when_asked if value == truth
+                           else self.params.p_affirm_error):
+            self.agenda.append(DialogueAct("affirm"))
             return
-        if rng.random() < self.params.p_affirm_error:
-            self._push(DialogueAct("affirm"))
-            return
-        self._drop_pending_informs(slot)
-        self._push(DialogueAct("inform", ((slot, truth),)))
-        if rng.random() < self.params.p_deny:
-            self._push(DialogueAct("deny", ((slot, value),)))
+        self._restate((slot, truth))
+        if value != truth and rng.random() < self.params.p_deny:
+            self.agenda.append(DialogueAct("deny", ((slot, value),)))
 
     def _on_select(self, act: DialogueAct, rng: np.random.Generator) -> None:
         if not act.items:
@@ -453,20 +433,19 @@ class SimulatedUser:
         truth = self._truth(slot)
         offered = [v for _, v in act.items]
         if offered and offered[0] == truth and rng.random() < self.params.p_select_affirm:
-            self._push(DialogueAct("affirm"))
+            self.agenda.append(DialogueAct("affirm"))
             return
-        self._drop_pending_informs(slot)
-        self._push(DialogueAct("inform", ((slot, truth),)))
+        self._restate((slot, truth))
 
     def _on_reqmore(self, act: DialogueAct, rng: np.random.Generator) -> None:
         if not self.fulfilled():
             return
         if self.goal.requests and rng.random() < self.params.p_recheck_request:
             slot = self.goal.requests[int(rng.integers(len(self.goal.requests)))]
-            self._push(DialogueAct("request", ((slot, None),)))
+            self.agenda.append(DialogueAct("request", ((slot, None),)))
             self.answered.discard(slot)
             return
-        self._push(DialogueAct("bye"))
+        self.agenda.append(DialogueAct("bye"))
 
     def _on_inform(self, act: DialogueAct, rng: np.random.Generator) -> None:
         name = act.name_value()
@@ -477,24 +456,16 @@ class SimulatedUser:
         if entity is None:
             # An inform that offers nothing identifiable; treat like chatter.
             return
-        consistent = all(
-            entity.attributes.get(s) == v for s, v in self.goal.constraints.items()
-        )
-        if not consistent:
-            wrong = next(
-                (s, v)
-                for s, v in self.goal.constraints.items()
-                if entity.attributes.get(s) != v
-            )
+        wrong = next(((s, v) for s, v in self.goal.constraints.items()
+                      if entity.attributes.get(s) != v), None)
+        if wrong is not None:
             if rng.random() < self.params.p_request_alternatives:
-                self._push(DialogueAct("reqalts"))
+                self.agenda.append(DialogueAct("reqalts"))
                 return
-            self._drop_pending_informs(wrong[0])
-            self._push(DialogueAct("inform", ((wrong[0], wrong[1]),)))
-            if rng.random() < self.params.p_deny:
-                actual = entity.attributes.get(wrong[0])
-                if actual is not None:
-                    self._push(DialogueAct("deny", ((wrong[0], actual),)))
+            self._restate(wrong)
+            actual = entity.attributes.get(wrong[0])
+            if rng.random() < self.params.p_deny and actual is not None:
+                self.agenda.append(DialogueAct("deny", ((wrong[0], actual),)))
             return
 
         if self.offered is None or self.offered.id != entity.id:
@@ -505,10 +476,10 @@ class SimulatedUser:
                 continue
             if slot in self.goal.requests and entity.attributes.get(slot) == value:
                 self.answered.add(slot)
-        self._drop_answered_requests()
+        self._prune("request", self.answered)
         self._ensure_requests_queued()
         if rng.random() < self.params.p_reqalts_after_offer:
-            self._push(DialogueAct("reqalts"))
+            self.agenda.append(DialogueAct("reqalts"))
 
     def _on_nomatch(self, act: DialogueAct, rng: np.random.Generator) -> None:
         if self.goal.satisfiable:
@@ -522,8 +493,7 @@ class SimulatedUser:
             if not candidates:
                 return
             slot = candidates[int(rng.integers(len(candidates)))]
-            self._drop_pending_informs(slot)
-            self._push(DialogueAct("inform", ((slot, self.goal.constraints[slot]),)))
+            self._restate((slot, self.goal.constraints[slot]))
             return
         self.nomatch_ok = True
         if self.goal.constraints and rng.random() < self.params.p_relax_on_noentity:
@@ -532,48 +502,32 @@ class SimulatedUser:
             del self.goal.constraints[slot]
             self.informed.pop(slot, None)
             self._refresh_satisfiable()
-            self._drop_pending_informs(slot)
-            self._push(DialogueAct("inform", ((slot, DONTCARE),)))
+            self._restate((slot, DONTCARE))
         else:
-            self._push(DialogueAct("bye"))
+            self.agenda.append(DialogueAct("bye"))
 
 
 def is_goal_fulfilled(goal: UserGoal, system_acts: list[DialogueAct],
                       ontology: Ontology) -> bool:
-    """Trace-level success test against the final goal state."""
-    nomatch_correct = False
-    offers: list[tuple[int, Entity]] = []
-    for i, act in enumerate(system_acts):
-        if act.act_type not in SYSTEM_INFORM_ACTS:
-            continue
-        name = act.name_value()
-        if name is None:
-            continue
+    """Trace-level success test against the final goal state, in one pass
+    over the system's inform-family acts.  Each act that names an entity
+    consistent with every constraint offers it, and its items answer that
+    entity's requested slots they give the true value of.  Success is an
+    offered entity with every requested slot answered or, when none was
+    offered, a ``name=none`` claim while no entity fits the constraints."""
+    nomatch_claimed = False
+    answered: dict[str, set[str]] = {}   # offered entity id -> answered slots
+    for act in system_acts:
+        name = act.name_value() if act.act_type in SYSTEM_INFORM_ACTS else None
         if name == "none":
-            if not query(ontology, goal.constraints):
-                nomatch_correct = True
+            nomatch_claimed = True
+        entity = ontology.entity_by_id.get(name) if name else None
+        if entity is None or any(entity.attributes.get(s) != v
+                                 for s, v in goal.constraints.items()):
             continue
-        entity = ontology.entity_by_id.get(name)
-        if entity is None:
-            continue
-        if all(entity.attributes.get(s) == v for s, v in goal.constraints.items()):
-            offers.append((i, entity))
-
-    if nomatch_correct and not offers:
-        return True
-
-    for _, entity in offers:
-        answered = set()
-        for act in system_acts:
-            if act.act_type not in SYSTEM_INFORM_ACTS:
-                continue
-            if act.name_value() != entity.id:
-                continue
-            for slot, value in act.items:
-                if slot == "name" or value is None:
-                    continue
-                if slot in goal.requests and entity.attributes.get(slot) == value:
-                    answered.add(slot)
-        if set(goal.requests) <= answered:
-            return True
-    return False
+        answered.setdefault(entity.id, set()).update(
+            s for s, v in act.items
+            if s in goal.requests and entity.attributes.get(s) == v)
+    if not answered:
+        return nomatch_claimed and not query(ontology, goal.constraints)
+    return any(set(goal.requests) <= slots for slots in answered.values())

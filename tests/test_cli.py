@@ -96,6 +96,21 @@ def test_missing_config_file_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: tmp_path,
+    lambda tmp_path: tmp_path / "run.ini",
+], ids=["directory", "latin-1"])
+def test_unreadable_config_file_exits_2(capsys, tmp_path, make):
+    (tmp_path / "run.ini").write_bytes(b"[harness]\nout = caf\xe9\n")
+    code, _, err = run_cli(capsys, "train", "--task", "env1-CR",
+                           "--algo", "handcrafted", "--dialogues", "1",
+                           "--config", str(make(tmp_path)),
+                           "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert err.startswith("config error: cannot read")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_eval_points_above_dialogues_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "train", "--task", "env1-CR",
                            "--algo", "handcrafted", "--seeds", "0",

@@ -147,3 +147,19 @@ def test_errormodel_values_are_type_checked(tmp_path):
         load_config(write(tmp_path, "[errormodel]\np_add_item = on\n"))
     cfg = load_config(write(tmp_path, "[errormodel]\np_add_item = 1\n"))
     assert cfg["errormodel"]["p_add_item"] == 1
+
+
+# ------------------------------------------------------------- file reading
+
+
+def test_values_are_literal_text(tmp_path):
+    cfg = load_config(write(tmp_path, "[harness]\nout = runs%x/%(y)s\n"))
+    assert cfg["harness"]["out"] == "runs%x/%(y)s"
+
+
+def test_default_section_is_refused(tmp_path):
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        load_config(write(tmp_path, "[DEFAULT]\nprofile = standard\n"
+                                    "[simuser]\n"))
+    assert load_config(write(tmp_path, "[DEFAULT]\n[task]\nname = x\n")) \
+        == {"task": {"name": "x"}}

@@ -542,3 +542,92 @@ def test_fulfillment_oracle_matches_live_state(ontology):
                                    env.ontology)
         assert oracle == live
         assert result.success == oracle
+
+
+# The success rule, row by row, on CR.  The goal asks for slot03 and
+# slot04 of an entity with slot00 = a's value; b fits that goal too, c
+# does not.  "nomatch" rows use a goal that no entity fits.
+def _fulfilment_entities(ontology):
+    a = ontology.entities[0]
+    b = next(e for e in ontology.entities[1:]
+             if e.attributes["slot00"] == a.attributes["slot00"])
+    c = next(e for e in ontology.entities
+             if e.attributes["slot00"] != a.attributes["slot00"])
+    return a, b, c
+
+
+def _tell(entity, *slots, act_type="inform"):
+    return DialogueAct(act_type, (("name", entity.id),) + tuple(
+        (s, entity.attributes[s]) for s in slots))
+
+
+FULFILMENT_TABLE = {
+    "offer then answer": ("fits", True, lambda a, b, c: [
+        _tell(a), _tell(a, "slot03", "slot04", act_type="inform_requested")]),
+    "offer and answer in one act": ("fits", True, lambda a, b, c: [
+        _tell(a, "slot03", "slot04")]),
+    "both answers for one of two entities": ("fits", True, lambda a, b, c: [
+        _tell(a), _tell(b, "slot03", act_type="inform_alternatives"),
+        _tell(b, "slot04", act_type="inform_requested")]),
+    "correct no-match": ("nomatch", True, lambda a, b, c: [
+        DialogueAct("inform", (("name", "none"),))]),
+    "answers split over two entities": ("fits", False, lambda a, b, c: [
+        _tell(a, "slot03"), _tell(b, "slot04")]),
+    "wrong value": ("fits", False, lambda a, b, c: [
+        DialogueAct("inform", (("name", a.id),
+                               ("slot03", b.attributes["slot03"]),
+                               ("slot04", a.attributes["slot04"])))]),
+    "inconsistent entity": ("fits", False, lambda a, b, c: [
+        _tell(c, "slot03", "slot04")]),
+    "unknown entity": ("fits", False, lambda a, b, c: [
+        DialogueAct("inform", (("name", "ent9999"),
+                               ("slot03", a.attributes["slot03"]),
+                               ("slot04", a.attributes["slot04"])))]),
+    "wrong no-match": ("fits", False, lambda a, b, c: [
+        DialogueAct("inform", (("name", "none"),))]),
+    "empty trace": ("fits", False, lambda a, b, c: []),
+    "request acts only": ("fits", False, lambda a, b, c: [
+        DialogueAct("request", (("slot03", None),)),
+        DialogueAct("request", (("slot04", None),))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FULFILMENT_TABLE))
+def test_goal_fulfilment_table(ontology, case):
+    kind, expected, trace = FULFILMENT_TABLE[case]
+    a, b, c = _fulfilment_entities(ontology)
+    assert a.attributes["slot03"] != b.attributes["slot03"]
+    if kind == "fits":
+        constraints = {"slot00": a.attributes["slot00"]}
+    else:
+        constraints = next(
+            {"slot00": v0, "slot01": v1}
+            for v0 in ontology.slot_by_name["slot00"].values
+            for v1 in ontology.slot_by_name["slot01"].values
+            if not query(ontology, {"slot00": v0, "slot01": v1}))
+    goal = UserGoal(constraints=constraints, requests=("slot03", "slot04"),
+                    satisfiable=bool(query(ontology, constraints)))
+    assert is_goal_fulfilled(goal, trace(a, b, c), ontology) is expected
+
+
+def test_answer_prunes_pending_informs_of_every_told_slot(ontology):
+    user = make_user(ontology, make_params(p_open_with_hello=1.0,
+                                           p_extra_info=1.0))
+    rng = np.random.default_rng(1)
+    assert user.opening_act(rng) == DialogueAct("hello")
+    act = user.respond(DialogueAct("request", (("slot00", None),)), rng)
+    assert {s for s, _ in act.items} == {"slot00", "slot01"}
+    assert user.agenda == [DialogueAct("bye"),
+                           DialogueAct("request", (("slot03", None),))]
+
+
+def test_offer_prunes_the_told_slot_from_a_bundled_request(ontology):
+    goal = make_goal(ontology, requests=("slot03", "slot04"))
+    user = make_user(ontology, make_params(max_requests_per_turn=2),
+                     goal=goal)
+    assert DialogueAct("request", (("slot03", None), ("slot04", None))) \
+        in user.agenda
+    _, entity = offer_act(ontology, goal)
+    user.respond(_tell(entity, "slot03"), np.random.default_rng(1))
+    requests = [a for a in user.agenda if a.act_type == "request"]
+    assert requests == [DialogueAct("request", (("slot04", None),))]
