@@ -195,11 +195,9 @@ class DialogueEnv:
             )
 
         action = self.actions[action_index]
-        fallback = (
-            action.kind == "inform_requested"
-            and self._belief.offered_entity_id not in self.ontology.entity_by_id
-        )
         system_act = summary_to_master(action, self._belief, self.ontology)
+        fallback = (action.kind == "inform_requested"
+                    and system_act.act_type != "inform_requested")
         self._turns += 1
 
         # Either side saying bye ends the dialogue on the current belief.

@@ -39,9 +39,14 @@ _CONFUSION_TARGETS = (
 )
 
 
-# Below zero, any of these can make a score or the residual mass negative,
-# and a confidence then falls outside [0, 1].
-_NON_NEGATIVE = frozenset({"residual_floor", "residual_spread", "tail_decay"})
+# Below zero, any of the first three can make a score or the residual mass
+# negative, and a confidence then falls outside [0, 1]; a negative
+# confusion weight leaves the act-type draw table no distribution.
+_NON_NEGATIVE = frozenset({"residual_floor", "residual_spread", "tail_decay",
+                           *(f"w_conf_{t}" for t in _CONFUSION_TARGETS)})
+# Probabilities, with every p_* field; true_pos_decay is the chance that
+# the buried true act sinks one place deeper.
+_PROBABILITIES = frozenset({"ser", "true_pos_decay"})
 
 
 @dataclass(frozen=True)
@@ -91,8 +96,6 @@ class ErrorParams:
     slot_conf_concentration: float = 0.0   # 0 = uniform wrong slot
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.ser <= 1.0:
-            raise ValueError("ser outside [0, 1]")
         if self.nbest_max < 1:
             raise ValueError("nbest_max must be >= 1")
         for f in fields(self):
@@ -102,6 +105,9 @@ class ErrorParams:
                                  f"shape), got {value}")
             if f.name in _NON_NEGATIVE and value < 0:
                 raise ValueError(f"{f.name} must not be negative, got {value}")
+            if ((f.name in _PROBABILITIES or f.name.startswith("p_"))
+                    and not 0.0 <= value <= 1.0):
+                raise ValueError(f"{f.name} must lie in [0, 1], got {value}")
         split = self.p_confuse_acttype + self.p_confuse_slot + self.p_confuse_value
         if abs(split - 1.0) > 1e-9:
             raise ValueError("confusion kernel weights must sum to 1")
@@ -345,9 +351,8 @@ def corrupt(act: DialogueAct, params: ErrorParams, ontology: Ontology,
 
     # a corrupted top always differs from the true act (see _confuse)
     if corrupted and length > 1 and rng.random() < params.p_true_in_nbest:
-        decay = min(max(params.true_pos_decay, 0.0), 1.0)
         depth = 0
-        while depth < length - 2 and rng.random() < decay:
+        while depth < length - 2 and rng.random() < params.true_pos_decay:
             depth += 1
         raw = rng.beta(params.conf_buried_a, params.conf_buried_b)
         raw *= params.tail_decay ** depth

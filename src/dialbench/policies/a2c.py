@@ -19,6 +19,7 @@ from dialbench.policies.base import (
     Transition,
     masked_argmax,
     require_counts,
+    require_range,
     uniform_legal,
 )
 from dialbench.rl_core import (
@@ -50,6 +51,9 @@ class A2CConfig:
     def __post_init__(self) -> None:
         require_counts(self, "hidden1", "hidden2", "window",
                        "anneal_dialogues")
+        require_range(self, "[0, 1]", "gamma", "eps0", "eps_final")
+        require_range(self, "[0, inf)", "lr", "entropy_beta")
+        require_range(self, "(0, inf)", "iw_clip")
 
 
 @dataclass

@@ -41,6 +41,25 @@ def require_counts(config, *names: str) -> None:
             raise ValueError(f"{name} must be at least 1, got {value}")
 
 
+# The ranges a learner's real-valued settings take: a probability or a
+# discount, a rate or weight, and a quantity it divides by.
+_RANGES = {
+    "[0, 1]": lambda value: 0.0 <= value <= 1.0,
+    "[0, inf)": lambda value: value >= 0.0,
+    "(0, inf)": lambda value: value > 0.0,
+}
+
+
+def require_range(config, interval: str, *names: str) -> None:
+    """Each named field of ``config`` lies in ``interval``, a key of
+    ``_RANGES``; NaN lies in none."""
+    holds = _RANGES[interval]
+    for name in names:
+        value = getattr(config, name)
+        if not holds(value):
+            raise ValueError(f"{name} must lie in {interval}, got {value}")
+
+
 @dataclass(frozen=True)
 class EpsilonSchedule:
     """Linear anneal from eps0 to eps_final over anneal_dialogues."""

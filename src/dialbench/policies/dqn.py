@@ -18,6 +18,7 @@ from dialbench.policies.base import (
     Transition,
     masked_argmax,
     require_counts,
+    require_range,
     uniform_legal,
 )
 from dialbench.rl_core import (
@@ -48,6 +49,8 @@ class DQNConfig:
     def __post_init__(self) -> None:
         require_counts(self, "hidden1", "hidden2", "buffer_size", "minibatch",
                        "target_sync_dialogues", "anneal_dialogues")
+        require_range(self, "[0, 1]", "gamma", "eps0", "eps_final")
+        require_range(self, "[0, inf)", "lr")
 
 
 def bellman_targets(rewards: np.ndarray, next_q: np.ndarray,

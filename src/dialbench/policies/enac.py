@@ -23,6 +23,7 @@ from dialbench.policies.base import (
     Transition,
     masked_argmax,
     require_counts,
+    require_range,
     uniform_legal,
 )
 from dialbench.rl_core import forward_cache, grad_log_prob, masked_softmax
@@ -43,6 +44,8 @@ class ENACConfig:
     def __post_init__(self) -> None:
         require_counts(self, "hidden1", "hidden2", "anneal_dialogues",
                        "batch_episodes")
+        require_range(self, "[0, 1]", "gamma", "eps0", "eps_final")
+        require_range(self, "[0, inf)", "step_size", "ridge")
 
 
 def enac_natural_gradient(phis: np.ndarray, returns: np.ndarray,

@@ -35,6 +35,7 @@ from dialbench.policies.base import (
     Transition,
     masked_argmax,
     require_counts,
+    require_range,
 )
 
 
@@ -50,17 +51,16 @@ class GPSarsaConfig:
 
     def __post_init__(self) -> None:
         require_counts(self, "max_points", "refresh_every")
-        if not self.sigma2 > 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        require_range(self, "[0, 1]", "gamma")
+        require_range(self, "[0, inf)", "scale")
+        # jitter keeps K = G + jitter * I invertible
+        require_range(self, "(0, inf)", "sigma2", "jitter")
 
 
 def _bordered_inverse(m_inv: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
     """Inverse of [[M, k], [k^T, c]] given M^-1."""
     n = m_inv.shape[0]
     out = np.empty((n + 1, n + 1))
-    if n == 0:
-        out[0, 0] = 1.0 / c
-        return out
     u = m_inv @ k
     s = max(c - float(k @ u), 1e-12)
     out[:n, :n] = m_inv + np.outer(u, u) / s
@@ -99,11 +99,6 @@ class _Block:
 
     def _refresh(self) -> None:
         self._redundant = None
-        if self.n == 0:
-            self.a_inv = np.zeros((0, 0))
-            self.k_inv = np.zeros((0, 0))
-            self.w = np.zeros(0)
-            return
         if self._exact[0] is not self.x:
             g = self.x @ self.x.T
             self._exact = (self.x, g, np.linalg.inv(g + self.config.jitter * np.eye(self.n)))
@@ -112,7 +107,7 @@ class _Block:
         self._recompute_w()
 
     def _recompute_w(self) -> None:
-        self.w = self.a_inv @ (self.ysum / self.counts) if self.n else np.zeros(0)
+        self.w = self.a_inv @ (self.ysum / self.counts)
 
     def _tick(self) -> None:
         self._events += 1

@@ -54,10 +54,7 @@ class HandcraftedPolicy(Policy):
             belief: BeliefState | None = None) -> int:
         if belief is None:
             raise ValueError("the handcrafted policy needs the belief state")
-        for idx in self._candidates(belief):
-            if mask[idx]:
-                return idx
-        return int(np.flatnonzero(mask)[0])
+        return next(idx for idx in self._candidates(belief) if mask[idx])
 
     def _candidates(self, belief: BeliefState):
         ontology = self.ontology

@@ -243,6 +243,26 @@ def test_harness_key_refused_alike_from_flag_and_file(capsys, tmp_path, key,
     ("enac", "[policy]\nbatch_episodes = 0\n"),
     ("gpsarsa", "[policy]\nsigma2 = -1.0\n"),
     ("gpsarsa", "[policy]\nmax_points = 0\n"),
+    ("dqn", "[policy]\ngamma = -2.0\n"),
+    ("dqn", "[policy]\neps0 = 1.5\n"),
+    ("dqn", "[policy]\neps_final = -0.1\n"),
+    ("dqn", "[policy]\nlr = -0.1\n"),
+    ("gpsarsa", "[policy]\ngamma = 5.0\n"),
+    ("gpsarsa", "[policy]\njitter = -1.0\n"),
+    ("gpsarsa", "[policy]\njitter = 0\n"),
+    ("gpsarsa", "[policy]\nscale = -1.0\n"),
+    ("enac", "[policy]\ngamma = 1.5\n"),
+    ("enac", "[policy]\nstep_size = -0.1\n"),
+    ("enac", "[policy]\nridge = -1.0\n"),
+    ("a2c", "[policy]\nlr = -0.1\n"),
+    ("a2c", "[policy]\niw_clip = -1.0\n"),
+    ("a2c", "[policy]\niw_clip = 0\n"),
+    ("a2c", "[policy]\nentropy_beta = -0.01\n"),
+    ("handcrafted", "[errormodel]\np_null_top = 1.5\n"),
+    ("handcrafted", "[errormodel]\nw_conf_inform = -0.5\n"),
+    ("handcrafted", "[errormodel]\np_confuse_acttype = 1.1\n"
+                    "p_confuse_slot = -0.5\n"),
+    ("handcrafted", "[errormodel]\ntrue_pos_decay = 1.5\n"),
 ])
 def test_out_of_range_setting_exits_2_before_any_dialogue(
         capsys, tmp_path, monkeypatch, algo, setting):

@@ -346,3 +346,18 @@ def test_write_trace_without_ontology_omits_belief():
     buf = io.StringIO()
     write_trace(result, buf)
     assert "belief" not in json.loads(buf.getvalue().splitlines()[0])
+
+
+@pytest.mark.parametrize("task_id", ["env1-CR", "env3-SFR", "env6-LAP"])
+def test_fallback_flags_inform_requested_grounded_as_inform(task_id):
+    env = DialogueEnv(make_task(task_id))
+    rng, act_rng = np.random.default_rng(15), np.random.default_rng(16)
+    fallbacks = 0
+    for _ in range(40):
+        result, _ = run_random_episode(env, rng, act_rng)
+        for rec in result.trace[1:]:
+            kind = env.actions[rec.action_index].kind
+            assert rec.fallback == (kind == "inform_requested"
+                                    and rec.system_act.act_type == "inform")
+            fallbacks += rec.fallback
+    assert fallbacks > 0

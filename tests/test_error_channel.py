@@ -78,6 +78,31 @@ def test_ser_range_validated():
         dataclasses.replace(PRESETS["noisy15"], ser=-0.01)
 
 
+@pytest.mark.parametrize("name,changes", [
+    ("p_null_top", {"p_null_top": 1.5}),
+    ("p_empty_nbest", {"p_empty_nbest": -0.01}),
+    ("p_drop_item", {"p_drop_item": float("nan")}),
+    ("true_pos_decay", {"true_pos_decay": 1.5}),
+    ("true_pos_decay", {"true_pos_decay": -0.5}),
+    ("w_conf_inform", {"w_conf_inform": -0.5}),
+    ("w_conf_null", {"w_conf_null": -1e-9}),
+    # a split that sums to one, with two parts that are no probability
+    ("p_confuse_acttype", {"p_confuse_acttype": 1.1, "p_confuse_slot": -0.5}),
+])
+def test_probability_and_weight_ranges_validated(name, changes):
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(PRESETS["noisy15"], **changes)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("p_null_top", 0.0), ("p_null_top", 1.0), ("true_pos_decay", 0.0),
+    ("true_pos_decay", 1.0), ("w_conf_inform", 0.0),
+])
+def test_range_bounds_are_legal(name, value):
+    assert getattr(dataclasses.replace(PRESETS["noisy15"], **{name: value}),
+                   name) == value
+
+
 def test_length_weights_validated():
     with pytest.raises(ValueError):
         dataclasses.replace(PRESETS["noisy15"], len_w1=-1.0)
