@@ -50,7 +50,7 @@ class A2CConfig:
 
     def __post_init__(self) -> None:
         require_counts(self, "hidden1", "hidden2", "window",
-                       "anneal_dialogues")
+                       "update_episodes", "anneal_dialogues")
         require_range(self, "[0, 1]", "gamma", "eps0", "eps_final")
         require_range(self, "[0, inf)", "lr", "entropy_beta")
         require_range(self, "(0, inf)", "iw_clip")

@@ -50,7 +50,8 @@ class DQNConfig:
         require_counts(self, "hidden1", "hidden2", "buffer_size", "minibatch",
                        "target_sync_dialogues", "anneal_dialogues")
         require_range(self, "[0, 1]", "gamma", "eps0", "eps_final")
-        require_range(self, "[0, inf)", "lr")
+        require_range(self, "[0, inf)", "lr", "train_after",
+                      "train_steps_per_turn")
 
 
 def bellman_targets(rewards: np.ndarray, next_q: np.ndarray,

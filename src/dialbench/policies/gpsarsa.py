@@ -9,18 +9,21 @@ maintained inverses of
     A = G + sigma2 * diag(1 / n_i)      (posterior, noise shrinks with n_i)
     K = G + jitter * I                  (novelty test)
 
-updated in O(n^2) per event via bordered/Sherman-Morrison identities and
-refreshed from scratch periodically to cap drift.  The posterior at (x, a)
+updated in O(n^2) per event, as in Engel et al. (2005): an added point
+borders both inverses, a removed point is the Schur-complement downdate
+that undoes the border, and a raised count changes one diagonal entry of
+A, which Sherman-Morrison absorbs.  Only the ``refresh_every`` cadence, a
+restore and a vanishing Sherman-Morrison denominator invert from scratch;
+the cadence caps the drift of the kept inverses.  The posterior at (x, a)
 is the standard GP regression posterior of block a, which is what the
 dense-solve oracle in the test suite checks against.
 
 A new point only enters its dictionary when its kernel residual exceeds
 nu; when the global budget is full, the most redundant point (largest
 diagonal of K^-1, the new point's bordered update included) is merged into
-its nearest neighbour.  It is chosen before the add: if it lies in the
-add's block, the add's updates, which the merge's rebuild would replace,
-are never made.  A rebuild of unchanged points reuses its last G and K^-1
-and inverts only A.  The results are the bits of add-then-merge.
+its nearest neighbour: it is removed and its targets and count are
+credited to that neighbour.  It is chosen before the add: if it is the new
+point itself, the add is skipped and the point is credited at once.
 """
 
 from __future__ import annotations
@@ -47,12 +50,13 @@ class GPSarsaConfig:
     max_points: int = 1000      # global dictionary budget
     gamma: float = 0.99
     jitter: float = 1e-8
-    refresh_every: int = 512    # full inverse rebuild cadence per block
+    refresh_every: int = 512    # events per block between full inverse
+                                # rebuilds: the cap on downdate drift
 
     def __post_init__(self) -> None:
         require_counts(self, "max_points", "refresh_every")
         require_range(self, "[0, 1]", "gamma")
-        require_range(self, "[0, inf)", "scale")
+        require_range(self, "[0, inf)", "scale", "nu")
         # jitter keeps K = G + jitter * I invertible
         require_range(self, "(0, inf)", "sigma2", "jitter")
 
@@ -67,6 +71,14 @@ def _bordered_inverse(m_inv: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
     out[:n, n] = out[n, :n] = -u / s
     out[n, n] = 1.0 / s
     return out
+
+
+def _removed_inverse(m_inv: np.ndarray, i: int) -> np.ndarray:
+    """Inverse of M without row and column i, given M^-1: the
+    Schur-complement downdate that undoes ``_bordered_inverse``."""
+    keep = np.arange(m_inv.shape[0]) != i
+    b = m_inv[keep, i]
+    return m_inv[np.ix_(keep, keep)] - np.outer(b, b) / m_inv[i, i]
 
 
 def _lowest_score(k_inv_diag: np.ndarray) -> tuple[float, int]:
@@ -87,9 +99,6 @@ class _Block:
         self.k_inv = np.zeros((0, 0))
         self.w = np.zeros(0)
         self._events = 0
-        # (x, G, K^-1) of the last rebuild, valid while its first entry is
-        # the live x; a change of x drops it, which no rebuild could reuse
-        self._exact = (None, None, None)
         # (score, index) of most_redundant, dropped when k_inv is replaced
         self._redundant = None
 
@@ -99,10 +108,8 @@ class _Block:
 
     def _refresh(self) -> None:
         self._redundant = None
-        if self._exact[0] is not self.x:
-            g = self.x @ self.x.T
-            self._exact = (self.x, g, np.linalg.inv(g + self.config.jitter * np.eye(self.n)))
-        _, g, self.k_inv = self._exact
+        g = self.x @ self.x.T
+        self.k_inv = np.linalg.inv(g + self.config.jitter * np.eye(self.n))
         self.a_inv = np.linalg.inv(g + self.config.sigma2 * np.diag(1.0 / self.counts))
         self._recompute_w()
 
@@ -139,32 +146,31 @@ class _Block:
         self.a_inv = _bordered_inverse(self.a_inv, k, k_self + self.config.sigma2)
         self.k_inv = _bordered_inverse(self.k_inv, k, k_self + self.config.jitter)
         self._redundant = None
-        self._append(x, y)
+        self.x = np.vstack([self.x, x])
+        self.ysum = np.append(self.ysum, y)
+        self.counts = np.append(self.counts, 1.0)
         self._recompute_w()
         self._tick()
 
     def add_and_merge(self, x: np.ndarray, y: float, i: int) -> None:
-        """``add(x, y)`` then ``merge_into_nearest(i)``, where ``i == n`` is
-        x itself, without the add's updates: the merge's rebuild would
-        replace them.  Both events count toward the cadence."""
-        self._events += 1
-        if i == self.n:
-            return self._fold(x, y, 1.0)
-        self._append(x, y)
-        self.merge_into_nearest(i)
+        """``add(x, y)`` then ``merge_into_nearest(i)``.  When ``i == n``,
+        the merged point is x itself: the add's updates are skipped, the
+        add still counts as an event, and x is credited to its nearest
+        neighbour as the merge would credit it."""
+        if i < self.n:
+            self.add(x, y)
+            return self.merge_into_nearest(i)
+        self._tick()
+        self.reinforce(self.nearest(x), y)
 
-    def _append(self, x: np.ndarray, y: float) -> None:
-        self._exact = (None, None, None)
-        self.x = np.vstack([self.x, x])
-        self.ysum = np.append(self.ysum, y)
-        self.counts = np.append(self.counts, 1.0)
-
-    def reinforce(self, i: int, y: float) -> None:
+    def reinforce(self, i: int, ysum: float, count: float = 1.0) -> None:
+        """Credit ``count`` observations with targets summing to ``ysum`` to
+        point i: A's noise entry i changes, which Sherman-Morrison absorbs."""
         n_i = self.counts[i]
-        delta = self.config.sigma2 * (1.0 / (n_i + 1.0) - 1.0 / n_i)
+        delta = self.config.sigma2 * (1.0 / (n_i + count) - 1.0 / n_i)
         denom = 1.0 + delta * self.a_inv[i, i]
-        self.counts[i] += 1.0
-        self.ysum[i] += y
+        self.counts[i] += count
+        self.ysum[i] += ysum
         if abs(denom) < 1e-12:
             return self._refresh()
         self.a_inv = self.a_inv - (delta / denom) * np.outer(self.a_inv[:, i], self.a_inv[i, :])
@@ -172,25 +178,17 @@ class _Block:
         self._tick()
 
     def merge_into_nearest(self, i: int) -> None:
-        """Fold point i into its nearest neighbour and rebuild the block;
-        the rebuild replaces every maintained quantity, so the downdates a
-        removal would make first are skipped."""
+        """Remove point i and credit its targets and count to its nearest
+        neighbour among the rest: one event."""
         x_i, ysum_i, count_i = self.x[i], self.ysum[i], self.counts[i]
+        self.a_inv = _removed_inverse(self.a_inv, i)
+        self.k_inv = _removed_inverse(self.k_inv, i)
+        self._redundant = None
         keep = np.arange(self.n) != i
-        self._exact = (None, None, None)
         self.x = self.x[keep]
         self.ysum = self.ysum[keep]
         self.counts = self.counts[keep]
-        self._fold(x_i, ysum_i, count_i)
-
-    def _fold(self, x: np.ndarray, ysum: float, count: float) -> None:
-        """Credit a point's targets to its nearest neighbour, whose noise
-        diagonal changes by more than one count: count the event, rebuild."""
-        j = self.nearest(x)
-        self.ysum[j] += ysum
-        self.counts[j] += count
-        self._events += 1
-        self._refresh()
+        self.reinforce(self.nearest(x_i), ysum_i, count_i)
 
     def most_redundant(self, x: np.ndarray | None = None) -> tuple[float, int]:
         """(score, index) of the point best explained by the rest of the

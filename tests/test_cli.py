@@ -258,6 +258,11 @@ def test_harness_key_refused_alike_from_flag_and_file(capsys, tmp_path, key,
     ("a2c", "[policy]\niw_clip = -1.0\n"),
     ("a2c", "[policy]\niw_clip = 0\n"),
     ("a2c", "[policy]\nentropy_beta = -0.01\n"),
+    ("a2c", "[policy]\nupdate_episodes = 0\n"),
+    ("a2c", "[policy]\nupdate_episodes = -3\n"),
+    ("dqn", "[policy]\ntrain_after = -5\n"),
+    ("dqn", "[policy]\ntrain_steps_per_turn = -1\n"),
+    ("gpsarsa", "[policy]\nnu = -1.0\n"),
     ("handcrafted", "[errormodel]\np_null_top = 1.5\n"),
     ("handcrafted", "[errormodel]\nw_conf_inform = -0.5\n"),
     ("handcrafted", "[errormodel]\np_confuse_acttype = 1.1\n"

@@ -201,23 +201,78 @@ def test_cached_redundancy_never_goes_stale():
     assert policy.total_points == 8
 
 
-@pytest.mark.parametrize("event", ["add", "add_and_merge", "add_and_fold",
-                                   "merge_into_nearest"])
-def test_rebuild_cache_keeps_only_the_live_points(event):
-    """The Gram matrix and K^-1 a rebuild keeps match the points by
-    identity, so once the points change they are dropped, not pinned."""
-    rng = np.random.default_rng(9)
-    block = _Block(6, GPSarsaConfig())
-    for _ in range(5):
-        block.add(rng.random(6), float(rng.normal()))
-    block._refresh()
-    assert block._exact[0] is block.x
-    x = rng.random(6)
-    {"add": lambda: block.add(x, 1.0),
-     "add_and_merge": lambda: block.add_and_merge(x, 1.0, 2),
-     "add_and_fold": lambda: block.add_and_merge(x, 1.0, block.n),
-     "merge_into_nearest": lambda: block.merge_into_nearest(2)}[event]()
-    assert block._exact[0] is None or block._exact[0] is block.x
+def merging_run(monkeypatch, refresh_every):
+    """Ingest 1000 random points of growing norm into three blocks under a
+    40-point budget, so merges take the new point itself, an old point of
+    its block and a point of another block.  Returns the policy, the merges of each kind,
+    each block's event counts at its refreshes and the ``np.linalg.inv``
+    calls."""
+    log = {"inv": 0, "the new point": 0, "its block": 0, "removals": 0}
+    refreshed = {}
+    inv, refresh = np.linalg.inv, _Block._refresh
+    add_and_merge, merge = _Block.add_and_merge, _Block.merge_into_nearest
+
+    def counted_inv(m):
+        log["inv"] += 1
+        return inv(m)
+
+    def logged_refresh(block):
+        refreshed.setdefault(id(block), []).append(block._events)
+        refresh(block)
+
+    def logged_add_and_merge(block, x, y, i):
+        log["the new point" if i == block.n else "its block"] += 1
+        add_and_merge(block, x, y, i)
+
+    def logged_merge(block, i):
+        log["removals"] += 1
+        merge(block, i)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(_Block, "_refresh", logged_refresh)
+    monkeypatch.setattr(_Block, "add_and_merge", logged_add_and_merge)
+    monkeypatch.setattr(_Block, "merge_into_nearest", logged_merge)
+    rng = np.random.default_rng(12)
+    config = GPSarsaConfig(nu=0.01, max_points=40, refresh_every=refresh_every)
+    policy = GPSarsaPolicy(obs_dim=30, action_count=3, config=config)
+    for step in range(1000):
+        x = rng.random(30) * (1.0 + step / 200)
+        policy._ingest(x, int(rng.integers(3)), float(rng.normal()))
+    log["another block"] = log.pop("removals") - log["its block"]
+    assert policy.total_points == 40
+    assert min(v for k, v in log.items() if k != "inv") >= 20, log
+    return policy, log, [refreshed.get(id(b), []) for b in policy.blocks]
+
+
+def test_merges_invert_nothing_between_refreshes(monkeypatch):
+    """Merges downdate the kept inverses: with no refresh due, a run of
+    merges of every kind makes no ``np.linalg.inv`` call at all."""
+    policy, log, refreshes = merging_run(monkeypatch, refresh_every=10**6)
+    assert max(block._events for block in policy.blocks) < 10**6
+    assert refreshes == [[], [], []]
+    assert log["inv"] == 0
+
+
+def test_blocks_refresh_exactly_on_the_cadence(monkeypatch):
+    """Every event counts, the add a self-merge skips included: a block
+    refreshes when its event count reaches a multiple of refresh_every,
+    and at no other event."""
+    policy, log, refreshes = merging_run(monkeypatch, refresh_every=7)
+    for block, events in zip(policy.blocks, refreshes):
+        assert events == list(range(7, block._events + 1, 7))
+    assert log["inv"] == 2 * sum(len(events) for events in refreshes)
+
+
+def test_downdated_inverses_stay_close_without_refresh(monkeypatch):
+    """Hundreds of merges with no refresh leave the kept inverses within a
+    relative 1e-11 (A^-1) and 1e-10 (K^-1) of fresh ones, the bounds of
+    tests/test_gpsarsa_reference.py; this run's worst are 2e-14 and 4e-16."""
+    policy, log, _ = merging_run(monkeypatch, refresh_every=10**6)
+    assert log["its block"] + log["another block"] >= 200, log
+    config = policy.config
+    for block in policy.blocks:
+        assert a_inverse_error(block, config) <= 1e-11 * np.abs(block.a_inv).max()
+        assert k_inverse_relative_error(block, config) <= 1e-10
 
 
 @pytest.mark.parametrize("event", ["add", "refresh", "add_and_merge",
@@ -406,7 +461,6 @@ def test_restore_does_not_reuse_the_kept_gram_matrix():
         donor._ingest(rng.random(6), i % 2, float(rng.normal()))
     for block in policy.blocks:
         block._refresh()
-        assert block._exact[0] is block.x  # reusable for these points
     policy.restore_arrays(donor.state_arrays())
     for block, other in zip(policy.blocks, donor.blocks):
         assert np.array_equal(block.x, other.x)

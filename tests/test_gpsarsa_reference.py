@@ -3,13 +3,32 @@
 The ``ref_`` functions below are the dictionary block, ``_ingest``,
 ``_enforce_budget`` and ``act`` as they were when every novel point was
 added with its bordered updates before the budget merge was chosen, every
-rebuild inverted both G + sigma2 * diag(1 / n) and G + jitter * I, and
-acting made one ``posterior`` call and one ``standard_normal()`` per legal
-action.  The policy now picks the merge before the add, skips the add's
-updates when the merge rebuilds the same block, reuses the last rebuild's
-Gram matrix and K^-1 while the points are unchanged, and draws the
-exploration noise in one call.  None of that may change a bit: every array,
-event count, chosen action and stream state must be equal, not close.
+budget merge rebuilt its block by inverting both G + sigma2 * diag(1 / n)
+and G + jitter * I, and acting made one ``posterior`` call and one
+``standard_normal()`` per legal action.  The policy now picks the merge
+before the add, skips the add when the merge takes the new point itself,
+downdates both inverses when a merge removes a point and absorbs the raised
+count with Sherman-Morrison, and draws the exploration noise in one call.
+
+What is exact and what is close:
+
+* Until a block's first merge, the two sides make the same floating-point
+  operations, so every array of the block is bit-equal.
+* The points, counts, target sums, event counts, the number of points, the
+  merge chosen at every ingest, the ``most_redundant`` index, the chosen
+  actions and the stream states stay bit-equal throughout.  None of them
+  reads an inverse except through a comparison (novelty against nu, scores
+  against each other, sampled values against each other), and no such
+  comparison falls within the drift below.  The targets here are given, so
+  the sums are exact; in training the SARSA bootstrap reads ``w``, and
+  the sums' low bits move with it.
+* After a merge, a downdated inverse differs from a fresh one by rounding:
+  ``a_inv``, ``w`` and greedy means within ``A_RTOL`` of the reference,
+  ``k_inv`` and redundancy scores within ``K_RTOL``, each relative to the
+  reference's largest entry.  K = G + jitter * I is far worse conditioned
+  than A, whose diagonal holds sigma2 / n, so its bound is wider.  The
+  worst errors over the 200 seeds below were 6.5e-13 (means) and 7.6e-12
+  (``k_inv``); each bound leaves a margin above that.
 """
 
 import numpy as np
@@ -208,14 +227,41 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+A_RTOL = 1e-11
+K_RTOL = 1e-10
+
+
+def relative_error(a, b):
+    """Largest entry of |a - b| over the largest entry of |b|."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    if same_bits(a, b):
+        return 0.0
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+def merged_blocks(ref):
+    return {merge[1] for merge in ref.merges}
+
+
 def assert_same_state(policy, ref):
     assert policy.total_points == ref.total_points
-    for block, ref_block in zip(policy.blocks, ref.blocks):
-        for name in ("x", "ysum", "counts", "a_inv", "k_inv", "w"):
+    merged = merged_blocks(ref)
+    for a, (block, ref_block) in enumerate(zip(policy.blocks, ref.blocks)):
+        for name in ("x", "ysum", "counts"):
             assert same_bits(getattr(block, name), getattr(ref_block, name)), name
         assert block._events == ref_block._events
+        for name, rtol in (("a_inv", A_RTOL), ("w", A_RTOL), ("k_inv", K_RTOL)):
+            mine, theirs = getattr(block, name), getattr(ref_block, name)
+            if a in merged:
+                assert relative_error(mine, theirs) <= rtol, name
+            else:
+                assert same_bits(mine, theirs), name
         if block.n:
-            assert block.most_redundant() == ref_block.most_redundant()
+            (score, i), (ref_score, ref_i) = (block.most_redundant(),
+                                              ref_block.most_redundant())
+            assert i == ref_i
+            assert relative_error(score, ref_score) <= K_RTOL
 
 
 def run_seed(seed):
@@ -253,9 +299,14 @@ def run_seed(seed):
             assert (policy.act(probe, mask, mine)
                     == ref_act(ref, probe, mask, theirs, training))
             assert mine.bit_generator.state == theirs.bit_generator.state
+        merged = merged_blocks(ref)
         for a in range(actions):
+            mine = policy.blocks[a].mean(probe)
             mean = ref.blocks[a].posterior(probe, float(probe @ probe))[0]
-            assert same_bits(policy.blocks[a].mean(probe), mean)
+            if a in merged:
+                assert relative_error(mine, mean) <= A_RTOL
+            else:
+                assert same_bits(mine, mean)
     return ref.merges, config.refresh_every
 
 
