@@ -405,7 +405,7 @@ def test_save_load_round_trip(tmp_path):
 # budget merges run.  Recorded with numpy 2.4 and its bundled OpenBLAS
 # 0.3.31 on an x86-64 Xeon.
 PINNED_GPSARSA_CHECKPOINT = (
-    "89efa3346dac0df0f4974c1a2f2ed023bbbaf83560696b3f9f1d417a36efbab7")
+    "42509a178860d41cb92e2ddd55dd08ed82c938d967c8b4497af6fffc203ab7bb")
 
 PINNED_RUN = """
 import sys
