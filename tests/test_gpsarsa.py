@@ -204,9 +204,9 @@ def test_cached_redundancy_never_goes_stale():
 def merging_run(monkeypatch, refresh_every):
     """Ingest 1000 random points of growing norm into three blocks under a
     40-point budget, so merges take the new point itself, an old point of
-    its block and a point of another block.  Returns the policy, the merges of each kind,
-    each block's event counts at its refreshes and the ``np.linalg.inv``
-    calls."""
+    its block and a point of another block.  Returns the policy, the
+    merges of each kind with the ``np.linalg.inv`` calls, and each block's
+    event counts at its refreshes."""
     log = {"inv": 0, "the new point": 0, "its block": 0, "removals": 0}
     refreshed = {}
     inv, refresh = np.linalg.inv, _Block._refresh
