@@ -4,6 +4,13 @@ The network emits A + 1 linear outputs; the first A are logits for a
 masked softmax, the last is the state value.  Updates replay the newest
 dialogue together with a small sample of recent ones, correcting for
 policy drift with truncated importance weights.
+
+Each step's behaviour probability is the ``p[action]`` that ``act``
+drew with: pi(a) of the net that acted, which does not change within a
+dialogue.  It is not the epsilon-mixture probability mu(a) the action
+was drawn from, so the weights pi_now(a) / pi(a) divide by the wrong
+probability.  Storing mu(a) is the fix that ROADMAP.md holds open; it
+moves the A2C reference digests.
 """
 
 from __future__ import annotations
@@ -17,10 +24,8 @@ from dialbench.belief_tracker import BeliefState
 from dialbench.policies.base import (
     NetLearner,
     Transition,
-    masked_argmax,
     require_counts,
     require_range,
-    uniform_legal,
 )
 from dialbench.rl_core import (
     ForwardCache,
@@ -62,7 +67,9 @@ class Episode:
     actions: np.ndarray           # [T]
     masks: np.ndarray             # [T, A]
     returns: np.ndarray           # [T] discounted reward-to-go
-    behaviour_probs: np.ndarray   # [T] pi(a_t) at collection time
+    # [T] pi(a_t) of the net that acted, not the epsilon-mixture mu(a_t)
+    # it was drawn from; storing mu is the open fix, and moves the digests
+    behaviour_probs: np.ndarray
 
 
 def returns_to_go(rewards: np.ndarray, gamma: float) -> np.ndarray:
@@ -120,21 +127,21 @@ class A2CPolicy(NetLearner):
         self._actions: list[int] = []
         self._masks: list[np.ndarray] = []
         self._rewards: list[float] = []
+        self._behaviour: list[float] = []
 
     def begin_dialogue(self, dialogue_index: int, training: bool) -> None:
         super().begin_dialogue(dialogue_index, training)
         self._obs, self._actions, self._masks, self._rewards = [], [], [], []
+        self._behaviour = []
 
     def act(self, observation: np.ndarray, mask: np.ndarray,
             rng: np.random.Generator,
             belief: BeliefState | None = None) -> int:
-        out = forward(self.net, observation)
-        if not self.training:
-            return masked_argmax(out[:-1], mask)
-        if rng.random() < self.epsilon:
-            return uniform_legal(mask, rng)
-        p = masked_softmax(out[:-1], mask)[0]
-        return int(rng.choice(self.action_count, p=p / p.sum()))
+        action, p = self.softmax_act(forward(self.net, observation)[:-1],
+                                     mask, rng)
+        if self.training:
+            self._behaviour.append(p[action])
+        return action
 
     def observe(self, transition: Transition, rng: np.random.Generator) -> None:
         if not self.training:
@@ -151,9 +158,8 @@ class A2CPolicy(NetLearner):
         actions = np.array(self._actions)
         masks = np.stack(self._masks)
         rets = returns_to_go(np.array(self._rewards), self.config.gamma)
-        probs = masked_softmax(forward(self.net, obs)[:, :-1], masks)
-        behaviour = probs[np.arange(len(actions)), actions]
-        self.episodes.append(Episode(obs, actions, masks, rets, behaviour))
+        self.episodes.append(Episode(obs, actions, masks, rets,
+                                     np.array(self._behaviour)))
         self.update(rng)
 
     def update(self, rng: np.random.Generator) -> float:

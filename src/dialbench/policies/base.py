@@ -21,7 +21,7 @@ import numpy as np
 from dialbench.artifacts import atomic_writer
 from dialbench.belief_tracker import BeliefState, belief_dim
 from dialbench.domain import Ontology
-from dialbench.rl_core import init_net
+from dialbench.rl_core import init_net, masked_softmax
 
 CHECKPOINT_VERSION = 2
 
@@ -146,6 +146,15 @@ class NetLearner(Policy):
     (``eps0``, ``eps_final``, ``anneal_dialogues``); epsilon follows the
     schedule from one dialogue to the next.  A checkpoint keeps the net's
     parameters.
+
+    The softmax learners (A2C, eNAC) act through ``softmax_act``, which
+    returns the action with the masked probabilities p of the net that
+    acted.  p[action] is pi(a), not the epsilon-mixture probability
+    mu(a) = epsilon / n_legal + (1 - epsilon) * pi(a) the action was
+    drawn with.  A2C stores pi(a) as its behaviour probability, so its
+    replay weights divide by the wrong probability.  Storing mu(a)
+    instead is the fix that ROADMAP.md holds open; it moves the A2C
+    reference digests.
     """
 
     trains = True
@@ -165,6 +174,24 @@ class NetLearner(Policy):
     def begin_dialogue(self, dialogue_index: int, training: bool) -> None:
         super().begin_dialogue(dialogue_index, training)
         self.epsilon = self.schedule.at(dialogue_index)
+
+    def softmax_act(self, logits: np.ndarray, mask: np.ndarray,
+                    rng: np.random.Generator) -> tuple[int, np.ndarray]:
+        """The action a softmax learner takes on one row of ``logits``,
+        and p, the masked probabilities it read them as.
+
+        Outside training it is greedy on p, not on the logits (exp
+        rounding can tie two legal actions the logits tell apart), ties
+        going to the lowest index.  In training it draws uniformly over
+        the legal actions with probability epsilon, and from p
+        otherwise.
+        """
+        p = masked_softmax(logits, mask)[0]
+        if not self.training:
+            return masked_argmax(p, mask), p
+        if rng.random() < self.epsilon:
+            return uniform_legal(mask, rng), p
+        return int(rng.choice(self.action_count, p=p / p.sum())), p
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return self.net.named_params()

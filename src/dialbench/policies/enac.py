@@ -21,12 +21,10 @@ from dialbench.belief_tracker import BeliefState
 from dialbench.policies.base import (
     NetLearner,
     Transition,
-    masked_argmax,
     require_counts,
     require_range,
-    uniform_legal,
 )
-from dialbench.rl_core import forward_cache, grad_log_prob, masked_softmax
+from dialbench.rl_core import forward_cache, grad_log_prob
 
 
 @dataclass(frozen=True)
@@ -108,15 +106,9 @@ class ENACPolicy(NetLearner):
             rng: np.random.Generator,
             belief: BeliefState | None = None) -> int:
         cache = forward_cache(self.net, observation)
-        # greedy on the probabilities, not the logits: exp rounding can
-        # tie two legal actions the logits tell apart
-        p = masked_softmax(cache.z, mask)[0]
+        action, p = self.softmax_act(cache.z, mask, rng)
         if not self.training:
-            return masked_argmax(p, mask)
-        if rng.random() < self.epsilon:
-            action = uniform_legal(mask, rng)
-        else:
-            action = int(rng.choice(self.action_count, p=p / p.sum()))
+            return action
         # the uniform branch is treated as on-policy when accumulating
         # scores; the bias this introduces shrinks with epsilon
         self._phi += grad_log_prob(self.net, cache, p, mask, action)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dialbench.policies import a2c
 from dialbench.policies.a2c import A2CConfig, A2CPolicy, Episode, a2c_loss, returns_to_go
 from dialbench.policies.base import Transition, load_policy, save_checkpoint
 from dialbench.rl_core import forward, forward_cache, init_net, masked_softmax
@@ -166,13 +167,13 @@ def test_a2c_loss_fully_masked_action_has_zero_logit_grad():
 # ------------------------------------------------------------- acting
 
 
-def test_greedy_act_is_argmax_of_logits():
+def test_greedy_act_is_argmax_of_probabilities():
     policy = A2CPolicy(3, 4, tiny_config())
     obs = np.array([0.4, -1.0, 0.2])
     mask = np.array([True, False, True, True])
     a = policy.act(obs, mask, np.random.default_rng(0))
-    logits = forward(policy.net, obs)[:-1]
-    assert a == int(np.argmax(np.where(mask, logits, -np.inf)))
+    probs = action_probs(policy, obs, mask)
+    assert a == int(np.argmax(np.where(mask, probs, -np.inf)))
 
 
 def test_training_act_samples_from_policy():
@@ -234,7 +235,46 @@ def test_behaviour_probs_recorded_under_collection_net():
     expected = action_probs(policy, obs, mask)[a]
     policy.observe(transition(obs, a, 1.0, mask), rng)
     policy.end_dialogue(rng)
-    assert policy.episodes[0].behaviour_probs[0] == pytest.approx(expected)
+    assert policy.episodes[0].behaviour_probs[0] == expected
+
+
+def test_behaviour_probs_are_what_act_drew_with(monkeypatch):
+    """Each stored behaviour probability is, bit for bit, p[action] of
+    act's own one-row forward, on both branches of the epsilon draw, and
+    end_dialogue runs no forward pass beyond the batch one of update."""
+    policy = A2CPolicy(4, 5, tiny_config(eps0=0.5))
+    data = np.random.default_rng(12)
+    rng = np.random.default_rng(13)
+    policy.begin_dialogue(0, training=True)
+    expected, branches = [], set()
+    for _ in range(12):
+        obs = data.normal(size=4)
+        mask = data.random(5) < 0.6
+        mask[data.integers(5)] = True
+        # the epsilon draw act is about to make, on a copy of the stream
+        ahead = np.random.default_rng()
+        ahead.bit_generator.state = rng.bit_generator.state
+        branches.add(bool(ahead.random() < policy.epsilon))
+        a = policy.act(obs, mask, rng)
+        expected.append(action_probs(policy, obs, mask)[a])
+        policy.observe(transition(obs, a, -1.0, mask), rng)
+    assert branches == {True, False}
+
+    calls = {"forward": 0, "forward_cache": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(a2c, "forward", counted("forward", a2c.forward))
+    monkeypatch.setattr(a2c, "forward_cache",
+                        counted("forward_cache", a2c.forward_cache))
+    policy.end_dialogue(rng)
+    assert calls == {"forward": 0, "forward_cache": 1}
+    stored = policy.episodes[0].behaviour_probs
+    assert stored.tobytes() == np.array(expected).tobytes()
 
 
 def test_window_is_bounded():

@@ -13,6 +13,10 @@ import numpy as np
 import pytest
 
 import dialbench
+from dialbench.belief_tracker import belief_dim
+from dialbench.environment import DialogueEnv, make_task
+from dialbench.harness import run_episode
+from dialbench.policies import make_policy
 from dialbench.policies.base import (
     CheckpointError,
     Transition,
@@ -25,6 +29,7 @@ from dialbench.policies.gpsarsa import (
     _Block,
     _bordered_inverse,
 )
+from dialbench.seeding import INIT_STREAM, TRAIN_STREAM, seed_stream
 
 
 def transition(obs, action, reward, next_obs, done, n_actions):
@@ -273,6 +278,39 @@ def test_downdated_inverses_stay_close_without_refresh(monkeypatch):
     for block in policy.blocks:
         assert a_inverse_error(block, config) <= 1e-11 * np.abs(block.a_inv).max()
         assert k_inverse_relative_error(block, config) <= 1e-10
+
+
+def relative_drift(kept, m):
+    """max|kept - fresh| / max|fresh|, fresh the dense inverse of m."""
+    fresh = np.linalg.inv(m)
+    return np.abs(kept - fresh).max() / np.abs(fresh).max()
+
+
+def test_kept_inverses_drift_little_on_a_real_run():
+    """The default learner on env3-CR, seed 0: its 1000-point budget
+    fills at dialogue 221, so d200 measures bordered adds alone and d400
+    and d600 a full dictionary under merges and cadence refreshes.  The
+    run's worst are 1.1e-14 (A^-1) and 3.2e-6 (K^-1, at d200)."""
+    env = DialogueEnv(make_task("env3-CR"))
+    policy = make_policy("gpsarsa", belief_dim(env.ontology),
+                         env.action_count, ontology=env.ontology,
+                         init_rng=seed_stream(0, INIT_STREAM))
+    rng = seed_stream(0, TRAIN_STREAM)
+    config = policy.config
+    for dialogue in range(600):
+        run_episode(env, policy, rng, dialogue_index=dialogue, training=True)
+        if dialogue + 1 not in (200, 400, 600):
+            continue
+        # the budget is full at d400 and d600 only
+        assert (policy.total_points == config.max_points) == (dialogue > 200)
+        for block in policy.blocks:
+            if not block.n:
+                continue
+            g = block.x @ block.x.T
+            a = g + config.sigma2 * np.diag(1.0 / block.counts)
+            k = g + config.jitter * np.eye(block.n)
+            assert relative_drift(block.a_inv, a) <= 1e-12
+            assert relative_drift(block.k_inv, k) <= 1e-5
 
 
 @pytest.mark.parametrize("event", ["add", "refresh", "add_and_merge",

@@ -189,7 +189,8 @@ GREEDY_VALUES = {
     "gpsarsa": lambda p, obs, mask: np.array(
         [q_posterior(p, obs, a)[0] for a in range(p.action_count)]),
     "dqn": lambda p, obs, mask: forward(p.net, obs),
-    "a2c": lambda p, obs, mask: forward(p.net, obs)[:-1],
+    "a2c": lambda p, obs, mask: masked_softmax(forward(p.net, obs)[:-1],
+                                               mask)[0],
     "enac": lambda p, obs, mask: masked_softmax(forward(p.net, obs), mask)[0],
 }
 

@@ -4,13 +4,14 @@ The reference functions below are the softmax-head ``forward_cache``,
 ``masked_softmax`` and ``grad_log_prob`` that eNAC ran before it applied
 ``masked_softmax`` to the net's outputs itself.  The arithmetic is the
 same, so probabilities, actions, accumulated scores and the stream state
-must be equal, not close.
+must be equal, not close.  A2C shares eNAC's greedy rule, and is held to
+it too.
 """
 
 import numpy as np
 import pytest
 
-from dialbench.policies import ENACConfig, ENACPolicy
+from dialbench.policies import ENACConfig, ENACPolicy, make_policy
 from dialbench.policies.base import masked_argmax, uniform_legal
 from dialbench.rl_core import forward_cache, masked_softmax
 
@@ -122,10 +123,12 @@ def test_enac_act_matches_softmax_head(block):
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_greedy_reads_probabilities_not_logits():
+@pytest.mark.parametrize("algorithm", ["enac", "a2c"])
+def test_greedy_reads_probabilities_not_logits(algorithm):
     # logits 1e-17 apart round to equal probabilities; the softmax head
-    # broke that tie toward the lower index, and so must eNAC
-    policy = ENACPolicy(OBS_DIM, ACTIONS, ENACConfig(hidden1=16, hidden2=8))
+    # broke that tie toward the lower index, and so must each softmax
+    # learner (A2C's net has one more output, its value, after the logits)
+    policy = make_policy(algorithm, OBS_DIM, ACTIONS, hidden1=16, hidden2=8)
     policy.net.w3[:] = 0.0
     policy.net.b3[:] = 0.0
     policy.net.b3[1] = 1e-17
@@ -133,6 +136,7 @@ def test_greedy_reads_probabilities_not_logits():
     obs = np.ones(OBS_DIM)
     mask = np.ones(ACTIONS, dtype=bool)
     rng = np.random.default_rng(0)
-    ref_action, _ = ref_act(policy, None, obs, mask, rng)
-    assert int(np.argmax(forward_cache(policy.net, obs).z[0])) == 1
+    logits = forward_cache(policy.net, obs).z[0, :ACTIONS]
+    ref_action = masked_argmax(ref_masked_softmax(logits, mask)[0], mask)
+    assert int(np.argmax(logits)) == 1
     assert policy.act(obs, mask, rng) == ref_action == 0
