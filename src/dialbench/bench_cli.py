@@ -11,7 +11,6 @@ internal fault and propagates with its traceback (exit 1).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,7 +18,6 @@ from pathlib import Path
 from dialbench.config import HARNESS, ConfigError, check_type, load_config, parse_list
 from dialbench.domain import DOMAIN_CODES
 from dialbench.environment import TaskConfig, list_tasks, make_task
-from dialbench.error_channel import PRESETS
 from dialbench.harness import (
     DEFAULT_EVAL_POINTS,
     MissingArtifact,
@@ -29,9 +27,9 @@ from dialbench.harness import (
     run_benchmark,
     run_cross_task,
     run_training,
+    task_env,
 )
 from dialbench.policies import ALGORITHMS, CONFIGS, CheckpointError, config_fields
-from dialbench.simulated_user import PROFILES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -92,9 +90,10 @@ ALL = None
 
 # What each verb reads of a config file: per section, the keys it reads
 # (for [harness], each with its default), or ALL of the section.  Any
-# other key the file sets exits 2.  Only train builds its env from
-# [errormodel] and [simuser]; eval and cross reload checkpoints, which
-# keep the [policy] settings they were trained with.
+# other key the file sets exits 2.  Only train reads [errormodel] and
+# [simuser]; eval and cross reload checkpoints, which keep the [policy]
+# settings they were trained with, and apply the env overrides that the
+# run summary records.
 READS = {
     "train": {"task": ("name",), "policy": ALL, "simuser": ALL,
               "errormodel": ALL,
@@ -156,23 +155,17 @@ def _algos(args, config: dict, default: str | None = None) -> tuple[str, ...]:
     return ALGORITHMS if raw == "all" else _names(raw, "algorithm", ALGORITHMS)
 
 
-def _error_params(config: dict, task: TaskConfig):
-    section = dict(config.get("errormodel", {}))
-    if not section:
-        return None
-    if "ser" in section:
-        raise ConfigError(f"[errormodel] cannot set ser: {task.task_id} "
-                          f"runs at its fixed rate {task.ser}")
-    base = PRESETS[section.pop("preset", task.error_preset)]
-    try:
-        return dataclasses.replace(base, **section)
-    except ValueError as exc:
-        raise ConfigError(f"bad [errormodel] override: {exc}") from exc
-
-
-def _profile(config: dict):
-    name = config.get("simuser", {}).get("profile")
-    return PROFILES[name] if name else None
+def _env_overrides(config: dict, task_id: str) -> dict:
+    """The [errormodel] and [simuser] sections that train applies to its
+    env and records in the run summary, checked against the task."""
+    overrides = {s: config[s] for s in ("errormodel", "simuser")
+                 if config.get(s)}
+    if overrides:
+        try:
+            task_env(task_id, overrides)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return overrides
 
 
 def _policy_overrides(config: dict, algos: tuple[str, ...]) -> dict:
@@ -206,7 +199,6 @@ def cmd_train(args, config) -> int:
     if points is None:   # the default points below the count, then the count
         points = tuple(p for p in DEFAULT_EVAL_POINTS if p < dialogues) + (
             dialogues,)
-    task = _task_config(tasks[0])
     try:
         spec = RunSpec(tasks[0], algos[0], seeds=settings["seeds"],
                        train_dialogues=dialogues, eval_points=points,
@@ -215,8 +207,7 @@ def cmd_train(args, config) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     summary = run_training(spec,
-                           error_params=_error_params(config, task),
-                           profile=_profile(config),
+                           env_overrides=_env_overrides(config, tasks[0]),
                            policy_overrides=_policy_overrides(config, algos))
     for entry in summary["points"]:
         print(f"{spec.task_id} {spec.algorithm} @{entry['eval_point']}: "

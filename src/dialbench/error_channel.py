@@ -179,16 +179,10 @@ def _weighted_index(n: int, concentration: float,
     return _draw(_cdf(weights / weights.sum()), rng)
 
 
-def _weighted_choice(options, concentration: float, rng: np.random.Generator):
-    i = _weighted_index(len(options), concentration, rng)
-    return None if i is None else options[i]
-
-
 def _random_constraint_item(ontology: Ontology, rng: np.random.Generator,
                             concentration: float = 0.0) -> tuple[str, str]:
     slot = ontology.constraint_slots[int(rng.integers(ontology.n_constraint))]
-    value = _weighted_choice(slot.values, concentration, rng)
-    return slot.name, value
+    return slot.name, slot.values[_weighted_index(len(slot.values), concentration, rng)]
 
 
 def _value_tables(ontology: Ontology) -> dict:
@@ -227,7 +221,7 @@ def _confuse_slot(item: tuple[str, str], ontology: Ontology,
     pool = [s for s in ontology.constraint_slots if s.name != slot_name]
     if not pool:
         return _confuse_value(item, ontology, params, rng)
-    new_slot = _weighted_choice(pool, params.slot_conf_concentration, rng)
+    new_slot = pool[_weighted_index(len(pool), params.slot_conf_concentration, rng)]
     if value == DONTCARE:
         return (new_slot.name, DONTCARE)
     return (new_slot.name, new_slot.values[int(rng.integers(len(new_slot.values)))])
@@ -256,15 +250,20 @@ def _confuse_acttype(act: DialogueAct, ontology: Ontology, params: ErrorParams,
     return DialogueAct(target, (item,))
 
 
+def _stand_in(act: DialogueAct) -> DialogueAct:
+    """null(), or hello() when the act is itself null."""
+    return DialogueAct("null" if act.act_type != "null" else "hello")
+
+
 def _confuse(act: DialogueAct, ontology: Ontology, params: ErrorParams,
              rng: np.random.Generator) -> DialogueAct:
     """One corruption of act, guaranteed to differ from it."""
+    # A drop then an added item can rebuild act, so a retry is reachable.
     for _ in range(8):
         candidate = _confuse_once(act, ontology, params, rng)
         if candidate != act:
             return candidate
-    # Extremely defensive: flip to null(), or to hello() when act is null.
-    return DialogueAct("null" if act.act_type != "null" else "hello")
+    return _stand_in(act)
 
 
 def _confuse_once(act: DialogueAct, ontology: Ontology, params: ErrorParams,
@@ -278,38 +277,22 @@ def _confuse_once(act: DialogueAct, ontology: Ontology, params: ErrorParams,
             value = slot.values[int(rng.integers(len(slot.values)))]
             return DialogueAct("inform", ((slot.name, value),))
 
-    mutable = [
-        (s, v)
-        for s, v in act.items
-        if v is not None and (s == "name" or s in ontology.slot_by_name)
-    ]
+    # positions of the items a substitution may touch, in item order
+    mutable = [i for i, (s, v) in enumerate(act.items)
+               if v is not None and (s == "name" or s in ontology.slot_by_name)]
     u = rng.random()
     if not mutable or u < params.p_confuse_acttype:
         return _confuse_acttype(act, ontology, params, rng)
 
-    substitute = (
-        _confuse_slot
-        if u < params.p_confuse_acttype + params.p_confuse_slot
-        else _confuse_value
-    )
+    slot_bound = params.p_confuse_acttype + params.p_confuse_slot
+    substitute = _confuse_slot if u < slot_bound else _confuse_value
     if params.p_corrupt_single_item >= 1.0 or rng.random() < params.p_corrupt_single_item:
-        touch = {int(rng.integers(len(mutable)))}
-    else:
-        touch = set(range(len(mutable)))
+        mutable = [mutable[int(rng.integers(len(mutable)))]]
 
-    new_items: list[tuple[str, str | None]] = []
-    k = 0
-    for s, v in act.items:
-        if v is None or (s != "name" and s not in ontology.slot_by_name):
-            new_items.append((s, v))
-            continue
-        if k in touch and s != "name":
-            new_items.append(substitute((s, v), ontology, params, rng))
-        elif k in touch:
-            new_items.append(_confuse_value((s, v), ontology, params, rng))
-        else:
-            new_items.append((s, v))
-        k += 1
+    new_items = list(act.items)
+    for i in mutable:
+        confuse = _confuse_value if new_items[i][0] == "name" else substitute
+        new_items[i] = confuse(new_items[i], ontology, params, rng)
 
     if len(new_items) >= 2 and rng.random() < params.p_drop_item:
         new_items.pop(int(rng.integers(len(new_items))))
@@ -318,23 +301,18 @@ def _confuse_once(act: DialogueAct, ontology: Ontology, params: ErrorParams,
         if extra[0] not in [s for s, _ in new_items]:
             new_items.append(extra)
 
-    try:
-        return DialogueAct(act.act_type, tuple(new_items))
-    except ValueError:
-        return DialogueAct("null")
+    return DialogueAct(act.act_type, tuple(new_items))
 
 
 def corrupt(act: DialogueAct, params: ErrorParams, ontology: Ontology,
             rng: np.random.Generator) -> NBestList:
     """Pass a true user act through the channel."""
     corrupted = rng.random() < params.ser
-
-    if corrupted and rng.random() < params.p_empty_nbest:
-        return NBestList((), residual=1.0)
-
     if corrupted:
+        if rng.random() < params.p_empty_nbest:
+            return NBestList((), residual=1.0)
         if rng.random() < params.p_null_top:
-            top_act = DialogueAct("null") if act.act_type != "null" else DialogueAct("hello")
+            top_act = _stand_in(act)
         else:
             top_act = _confuse(act, ontology, params, rng)
         w_top = rng.beta(params.conf_incorrect_a, params.conf_incorrect_b)

@@ -12,7 +12,7 @@ JSON, and rerunning the same settings reproduces them byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,10 @@ from dialbench.environment import (
     DialogueEnv,
     make_task,
 )
+from dialbench.error_channel import PRESETS
 from dialbench.policies import Policy, Transition, load_policy, make_policy
 from dialbench.seeding import INIT_STREAM, TRAIN_STREAM, eval_stream, seed_stream
+from dialbench.simulated_user import PROFILES
 
 # A dialogue's reward lies between a failure at the turn cap and a
 # success in one turn.
@@ -173,14 +175,37 @@ def train_unit(spec: RunSpec, env: DialogueEnv, seed: int,
     return results
 
 
-def run_training(spec: RunSpec, error_params=None, profile=None,
+def task_env(task_id: str, env_overrides: dict | None = None) -> DialogueEnv:
+    """The env of ``task_id`` under a run's ``[errormodel]`` and
+    ``[simuser]`` sections, as a config file gives them.  The task keeps
+    its own ser, and an ``[errormodel]`` without ``preset`` starts from
+    the task's preset; an override the task cannot take is a ValueError."""
+    task = make_task(task_id)
+    env_overrides = env_overrides or {}
+    error = dict(env_overrides.get("errormodel", {}))
+    if "ser" in error:
+        raise ValueError(f"[errormodel] cannot set ser: {task_id} runs at "
+                         f"its fixed rate {task.ser}")
+    error_params = None
+    if error:
+        base = PRESETS[error.pop("preset", task.error_preset)]
+        try:
+            error_params = replace(base, **error)
+        except ValueError as exc:
+            raise ValueError(f"bad [errormodel] override: {exc}") from exc
+    profile = env_overrides.get("simuser", {}).get("profile")
+    return DialogueEnv(task, error_params=error_params,
+                       profile=PROFILES[profile] if profile else None)
+
+
+def run_training(spec: RunSpec, env_overrides: dict | None = None,
                  policy_overrides: dict | None = None) -> dict:
-    """Train and test every seed of ``spec``; returns the run summary,
-    the one record of the run that its curve CSV and summary JSON
-    render, and that ``evaluate_checkpoint`` loads back."""
+    """Train and test every seed of ``spec`` on its task under
+    ``env_overrides`` (see ``task_env``); returns the run summary, the
+    one record of the run that its curve CSV and summary JSON render,
+    and that ``evaluate_checkpoint`` loads back."""
     # The env keeps no state between dialogues, so the seeds share it.
-    env = DialogueEnv(make_task(spec.task_id), error_params=error_params,
-                      profile=profile)
+    env = task_env(spec.task_id, env_overrides)
     # the summary is the record of a finished run: until this run writes
     # its own, no earlier run's record may name the checkpoints it replaces
     summary_json_path(spec.out_dir, spec.task_id,
@@ -197,6 +222,8 @@ def run_training(spec: RunSpec, error_params=None, profile=None,
                                          for seed, unit in units.items()})
                    for m_idx, point in enumerate(spec.eval_points)],
     }
+    if env_overrides:   # so a default run's summary keeps its bytes
+        summary["env_overrides"] = env_overrides
     write_curve_csv(summary, spec.out_dir)
     write_summary_json(summary, spec.out_dir)
     return summary
@@ -277,16 +304,17 @@ def write_benchmark_table(cells: dict[tuple[str, str], dict],
     json_rows = []
 
     def emit(label: str, succ: dict[str, float], rew: dict[str, float]):
+        best = _best_data_driven(rew)
         row = [label]
         for algorithm in algorithms:
             row += [f"{succ[algorithm]:.4f}", f"{rew[algorithm]:.4f}"]
-        row.append(_best_data_driven(rew))
+        row.append(best)
         lines.append(",".join(row))
         json_rows.append({
             "task": label,
             "success": {a: succ[a] for a in algorithms},
             "reward": {a: rew[a] for a in algorithms},
-            "best_data_driven": _best_data_driven(rew),
+            "best_data_driven": best,
         })
 
     groups: dict[str, list[str]] = {code: [] for code in DOMAIN_CODES}
@@ -328,15 +356,21 @@ def _summary_fault(summary) -> str | None:
         return f"seeds is {seeds!r}, not a list of integers"
     if type(dialogues) is not int:
         return f"train_dialogues is {dialogues!r}, not an integer"
+    overrides = summary.get("env_overrides", {})
+    if not (isinstance(overrides, dict)
+            and all(isinstance(v, dict) for v in overrides.values())):
+        return f"env_overrides is {overrides!r}, not a table of sections"
     return None
 
 
 def _reload(out_dir: Path, task_id: str, algorithm: str,
             seeds: tuple[int, ...], test_dialogues: int,
-            envs: list[DialogueEnv]) -> list[dict]:
+            target_ids: list[str], built: dict | None = None) -> list[dict]:
     """Reload each seed's policy of the finished run that the summary of
     (task, algorithm) records, at its last milestone, and test it on
-    each env, all in the run's domain; returns one summary point per env.
+    each target task, all in the run's domain, under the env overrides
+    the run was trained with; returns one summary point per target.
+    ``built`` keeps the envs built, by task and overrides, across calls.
 
     Each checkpoint is loaded once, and tested on milestone 0's eval
     streams, whatever the milestone; the summary's last point was tested
@@ -358,6 +392,17 @@ def _reload(out_dir: Path, task_id: str, algorithm: str,
         raise MissingArtifact(f"seeds {untrained} are not among the seeds "
                               f"{summary['seeds']} that {path} records")
     point = summary["train_dialogues"]
+    overrides = summary.get("env_overrides", {})
+    key = json.dumps(overrides, sort_keys=True)
+    built = {} if built is None else built
+    try:
+        for target in target_ids:
+            if (target, key) not in built:
+                built[target, key] = task_env(target, overrides)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MissingArtifact(f"damaged run summary {path}: "
+                              f"env_overrides {exc}") from None
+    envs = [built[target, key] for target in target_ids]
     per_env = [{} for _ in envs]
     for seed in seeds:
         policy = load_policy(checkpoint_path(out_dir, task_id, algorithm,
@@ -378,7 +423,7 @@ def evaluate_checkpoint(out_dir: Path, task_id: str, algorithm: str,
     if task.domain_code != make_task(task_id).domain_code:
         raise ValueError("cross-task evaluation must stay in one domain")
     point, = _reload(out_dir, task_id, algorithm, seeds, test_dialogues,
-                     [DialogueEnv(task)])
+                     [target_id])
     return {
         "trained_on": task_id,
         "evaluated_on": target_id,
@@ -399,18 +444,19 @@ def run_cross_task(out_dir: Path, algorithms: list[str], domains: list[str],
     lines = [",".join(header)]
     json_rows = []
 
+    built: dict = {}    # each env is built once per set of overrides
     for domain in domains:
         if domain not in DOMAIN_CODES:
             raise ValueError(f"unknown domain {domain!r}")
-        envs = {str(j): DialogueEnv(make_task(f"env{j}-{domain}"))
-                for j in ENV_INDICES_CROSS}
         for algorithm in algorithms:
             for i in ENV_INDICES_CROSS:
-                targets = {j: env for j, env in envs.items() if j != str(i)}
+                targets = [j for j in ENV_INDICES_CROSS if j != i]
                 points = _reload(out_dir, f"env{i}-{domain}", algorithm,
-                                 seeds, test_dialogues, list(targets.values()))
-                rewards = dict.fromkeys(envs) | {
-                    j: point["reward_mean"] for j, point in zip(targets, points)}
+                                 seeds, test_dialogues,
+                                 [f"env{j}-{domain}" for j in targets], built)
+                rewards = dict.fromkeys(map(str, ENV_INDICES_CROSS)) | {
+                    str(j): point["reward_mean"]
+                    for j, point in zip(targets, points)}
                 cells = ["" if r is None else f"{r:.4f}"
                          for r in rewards.values()]
                 lines.append(",".join([domain, algorithm, str(i)] + cells))

@@ -152,17 +152,6 @@ class _Block:
         self._recompute_w()
         self._tick()
 
-    def add_and_merge(self, x: np.ndarray, y: float, i: int) -> None:
-        """``add(x, y)`` then ``merge_into_nearest(i)``.  When ``i == n``,
-        the merged point is x itself: the add's updates are skipped, the
-        add still counts as an event, and x is credited to its nearest
-        neighbour as the merge would credit it."""
-        if i < self.n:
-            self.add(x, y)
-            return self.merge_into_nearest(i)
-        self._tick()
-        self.reinforce(self.nearest(x), y)
-
     def reinforce(self, i: int, ysum: float, count: float = 1.0) -> None:
         """Credit ``count`` observations with targets summing to ``ysum`` to
         point i: A's noise entry i changes, which Sherman-Morrison absorbs."""
@@ -261,16 +250,17 @@ class GPSarsaPolicy(Policy):
             return target_block.reinforce(target_block.nearest(x), target)
         # a full budget merges the point with the lowest score once x has
         # joined its block, the first block on a tie; blocks need two points
-        best = (None, None, None)
+        victim = i = None
         if self.total_points >= self.config.max_points:
-            for block in self.blocks:
-                if block.n >= 2 or (block is target_block and block.n):
-                    score, i = block.most_redundant(x if block is target_block else None)
-                    if best[0] is None or score < best[0]:
-                        best = (score, block, i)
-        _, victim, i = best
-        if victim is target_block:
-            return victim.add_and_merge(x, target, i)
+            scored = ((*block.most_redundant(x if block is target_block else None), block)
+                      for block in self.blocks
+                      if block.n >= 2 or (block is target_block and block.n))
+            _, i, victim = min(scored, key=lambda c: c[0], default=(None, None, None))
+        if victim is target_block and i == victim.n:
+            # x itself merges: its add is skipped but still counts as an
+            # event, and x is credited to its nearest neighbour
+            victim._tick()
+            return victim.reinforce(victim.nearest(x), target)
         target_block.add(x, target)
         if victim is None:
             self.total_points += 1

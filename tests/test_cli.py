@@ -536,7 +536,14 @@ def test_eval_after_a_failed_run_exits_3(capsys, tmp_path, monkeypatch):
     (lambda text: '{"seeds": [0]}', "lacks train_dialogues"),
     (lambda text: '{"seeds": 0, "train_dialogues": 2}',
      "seeds is 0, not a list of integers"),
-], ids=["cut", "no-train-dialogues", "seeds-not-a-list"])
+    (lambda text: '{"seeds": [0], "train_dialogues": 2, '
+                  '"env_overrides": {"simuser": "x"}}',
+     "not a table of sections"),
+    (lambda text: '{"seeds": [0], "train_dialogues": 2, '
+                  '"env_overrides": {"errormodel": {"p_null_top": 2.0}}}',
+     "env_overrides bad [errormodel] override"),
+], ids=["cut", "no-train-dialogues", "seeds-not-a-list",
+        "overrides-not-sections", "override-out-of-range"])
 def test_eval_of_a_damaged_summary_exits_3(capsys, tmp_path, damage, fault):
     code, _, _ = run_cli(capsys, "train", "--task", "env1-CR",
                          "--algo", "handcrafted", "--seeds", "0",
@@ -613,6 +620,34 @@ def test_config_profile_and_errormodel_applied(capsys, tmp_path):
         return (out / "curves" / "env1-CR-handcrafted.csv").read_text()
 
     assert run(False) != run(True)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"errormodel": {"p_empty_nbest": 1.0}},
+    {"errormodel": {"p_empty_nbest": 1.0}, "simuser": {"profile": "unfriendly"}},
+], ids=["errormodel", "errormodel-and-simuser"])
+def test_eval_applies_the_env_overrides_the_run_was_trained_with(
+        capsys, tmp_path, overrides):
+    # the summary records the [errormodel] and [simuser] sections, and eval
+    # tests the reloaded run under them: on the preset env6-CR it read
+    # 0.720 against the summary's 0.665 and 0.475
+    ini = tmp_path / "run.ini"
+    ini.write_text("".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for section, keys in overrides.items()))
+    run = ("--task", "env6-CR", "--algo", "handcrafted", "--seeds", "0,1",
+           "--test-dialogues", "100", "--out", str(tmp_path))
+    code, _, _ = run_cli(capsys, "train", *run, "--dialogues", "0",
+                         "--config", str(ini))
+    assert code == 0
+    summary = json.loads(
+        (tmp_path / "summaries/env6-CR-handcrafted.json").read_text())
+    assert summary["env_overrides"] == overrides
+    code, out, _ = run_cli(capsys, "eval", *run)
+    assert code == 0
+    report, point = json.loads(out), summary["points"][-1]
+    assert [report[k] for k in ("per_seed", "success_mean", "reward_mean")] \
+        == [point[k] for k in ("per_seed", "success_mean", "reward_mean")]
 
 
 def test_errormodel_ser_is_refused(capsys, tmp_path):

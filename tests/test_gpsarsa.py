@@ -212,10 +212,10 @@ def merging_run(monkeypatch, refresh_every):
     its block and a point of another block.  Returns the policy, the
     merges of each kind with the ``np.linalg.inv`` calls, and each block's
     event counts at its refreshes."""
-    log = {"inv": 0, "the new point": 0, "its block": 0, "removals": 0}
+    log = {"inv": 0, "the new point": 0, "its block": 0, "another block": 0}
     refreshed = {}
-    inv, refresh = np.linalg.inv, _Block._refresh
-    add_and_merge, merge = _Block.add_and_merge, _Block.merge_into_nearest
+    calls = []      # (method, block) of one ingest
+    inv, refresh, ingest = np.linalg.inv, _Block._refresh, GPSarsaPolicy._ingest
 
     def counted_inv(m):
         log["inv"] += 1
@@ -225,25 +225,38 @@ def merging_run(monkeypatch, refresh_every):
         refreshed.setdefault(id(block), []).append(block._events)
         refresh(block)
 
-    def logged_add_and_merge(block, x, y, i):
-        log["the new point" if i == block.n else "its block"] += 1
-        add_and_merge(block, x, y, i)
+    def logged(name):
+        method = getattr(_Block, name)
 
-    def logged_merge(block, i):
-        log["removals"] += 1
-        merge(block, i)
+        def call(block, *args):
+            calls.append((name, block))
+            return method(block, *args)
+        return call
+
+    def logged_ingest(policy, x, action, target):
+        # a merge names its block; a point scored for a merge and never
+        # added merged itself
+        calls.clear()
+        ingest(policy, x, action, target)
+        merged = [block for name, block in calls if name == "merge_into_nearest"]
+        names = {name for name, _ in calls}
+        if merged:
+            log["its block" if merged[0] is policy.blocks[action]
+                else "another block"] += 1
+        elif "most_redundant" in names and "add" not in names:
+            log["the new point"] += 1
 
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     monkeypatch.setattr(_Block, "_refresh", logged_refresh)
-    monkeypatch.setattr(_Block, "add_and_merge", logged_add_and_merge)
-    monkeypatch.setattr(_Block, "merge_into_nearest", logged_merge)
+    for name in ("add", "most_redundant", "merge_into_nearest"):
+        monkeypatch.setattr(_Block, name, logged(name))
+    monkeypatch.setattr(GPSarsaPolicy, "_ingest", logged_ingest)
     rng = np.random.default_rng(12)
     config = GPSarsaConfig(nu=0.01, max_points=40, refresh_every=refresh_every)
     policy = GPSarsaPolicy(obs_dim=30, action_count=3, config=config)
     for step in range(1000):
         x = rng.random(30) * (1.0 + step / 200)
         policy._ingest(x, int(rng.integers(3)), float(rng.normal()))
-    log["another block"] = log.pop("removals") - log["its block"]
     assert policy.total_points == 40
     assert min(v for k, v in log.items() if k != "inv") >= 20, log
     return policy, log, [refreshed.get(id(b), []) for b in policy.blocks]
@@ -313,8 +326,7 @@ def test_kept_inverses_drift_little_on_a_real_run():
             assert relative_drift(block.k_inv, k) <= 1e-5
 
 
-@pytest.mark.parametrize("event", ["add", "refresh", "add_and_merge",
-                                   "merge_into_nearest"])
+@pytest.mark.parametrize("event", ["add", "refresh", "merge_into_nearest"])
 def test_redundancy_cache_drops_a_replaced_k_inv(event):
     """most_redundant keeps its answer for one K^-1; once K^-1 is
     replaced, nothing keeps the old one alive."""
@@ -327,7 +339,6 @@ def test_redundancy_cache_drops_a_replaced_k_inv(event):
     x = rng.random(6)
     {"add": lambda: block.add(x, 1.0),
      "refresh": block._refresh,
-     "add_and_merge": lambda: block.add_and_merge(x, 1.0, 2),
      "merge_into_nearest": lambda: block.merge_into_nearest(2)}[event]()
     gc.collect()
     assert old() is None

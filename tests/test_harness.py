@@ -23,6 +23,7 @@ from dialbench.harness import (
     run_training,
     summary_json_path,
     summary_point,
+    task_env,
     write_benchmark_table,
 )
 from dialbench.policies import (
@@ -519,6 +520,27 @@ def test_cross_reloads_each_run_once(monkeypatch, cross_grid):
     # three runs of two seeds; each env of the domain is built once
     assert sorted(loads) == ["seed0-d4.npz"] * 3 + ["seed1-d4.npz"] * 3
     assert domains == ["CR"] * 3
+
+
+def test_reload_tests_each_target_under_the_run_overrides(tmp_path):
+    """A run's recorded [errormodel] overrides apply to another target
+    task, which keeps its own ser."""
+    overrides = {"errormodel": {"p_empty_nbest": 1.0}}
+    run_training(RunSpec("env1-CR", "handcrafted", seeds=(0,),
+                         train_dialogues=0, eval_points=(0,),
+                         test_dialogues=20, out_dir=tmp_path),
+                 env_overrides=overrides)
+    report = evaluate_checkpoint(tmp_path, "env1-CR", "handcrafted",
+                                 seeds=(0,), test_dialogues=20,
+                                 eval_task_id="env3-CR")
+    env = task_env("env3-CR", overrides)
+    assert (env.error_params.ser, env.error_params.p_empty_nbest) == (0.15, 1.0)
+    policy = load_policy(checkpoint_path(tmp_path, "env1-CR", "handcrafted",
+                                         0, 0), ontology=CR)
+    success, reward = evaluate(env, policy, 0, 0, 20)
+    assert report["per_seed"]["0"] == {"success": success, "reward": reward}
+    assert evaluate(DialogueEnv(make_task("env3-CR")), policy, 0, 0, 20) \
+        != (success, reward)
 
 
 def test_cross_task_missing_checkpoint(tmp_path):
